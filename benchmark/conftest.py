@@ -1,0 +1,7 @@
+"""Lets the benchmark's own tests import the library from src/."""
+import pathlib
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
