@@ -7,7 +7,7 @@ forward and backward mutate the caches.
 import numpy as np
 
 from .errors import ConfigError, LayerStateError, ShapeError
-from .tensor import col2im, concat_channels, conv_out_size, im2col, negate
+from .tensor import col2im, concat_channels, conv_out_size, im2col
 
 
 class Layer:
@@ -101,7 +101,7 @@ class MaxMin(Layer):
 
     def forward(self, x, train=False):
         self._channels = x.shape[1]
-        return concat_channels(x, negate(x))
+        return concat_channels(x, -x)
 
     def backward(self, grad_out):
         self._require_forward(self._channels)
@@ -115,21 +115,25 @@ class MaxMin(Layer):
 
 
 class ReLU(Layer):
-    """max(x, 0); subgradient at exactly 0 is 0."""
+    """max(x, 0); the subgradient at exactly 0 is 0.
+
+    A NaN input stays NaN rather than being zeroed, so it reaches the
+    loss and ``train`` stops with DivergenceError.
+    """
 
     def __init__(self):
         self._mask = None
 
     def forward(self, x, train=False):
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0)
 
     def backward(self, grad_out):
         self._require_forward(self._mask)
         return np.where(self._mask, grad_out, 0.0)
 
     def kink_signature(self):
-        return self._mask.tobytes() if self._mask is not None else b""
+        return np.packbits(self._mask).tobytes() if self._mask is not None else b""
 
 
 class MaxPool(Layer):
@@ -137,8 +141,11 @@ class MaxPool(Layer):
 
     Output size is ceil((H - window)/stride) + 1; the last window along
     each axis clamps to the input edge, which preserves the 32->16->8->4
-    progression for 3x3 windows at stride 2. Ties route the gradient to
-    the first max in row-major window scan order.
+    progression for 3x3 windows at stride 2. The max is separable, over
+    each window's columns and then its rows, one strided slice per tap.
+    Ties go to the first max in row-major window order; each output
+    keeps that tap's row-major index in its window (one byte up to 16x16
+    windows) as the route of its gradient.
     """
 
     def __init__(self, window=3, stride=2):
@@ -148,49 +155,64 @@ class MaxPool(Layer):
         self.stride = stride
         self._cache = None
 
-    def _out_extent(self, size):
+    def _starts(self, size):
+        """First input index of each window along an axis of ``size``."""
         if size < self.window:
             raise ConfigError(f"MaxPool: window {self.window} exceeds input extent {size}")
-        return -((size - self.window) // -self.stride) + 1
+        extent = -((size - self.window) // -self.stride) + 1
+        return np.minimum(np.arange(extent) * self.stride, size - 1)
+
+    def _first_max(self, x, axis, inner=None):
+        """Window max along ``axis`` and the label of its first maximum.
+
+        Tap t's label is t, or t * window + inner (the tap chosen along the
+        other axis). Labels grow with t; a strict < keeps the earlier tap.
+        """
+        k, s, size = self.window, self.stride, x.shape[axis]
+        starts = self._starts(size)
+        best = np.take(x, starts, axis=axis)
+        route = (np.zeros(best.shape, np.min_scalar_type(k * k - 1)) if inner is None
+                 else np.take(inner, starts, axis=axis))
+        tap = route.dtype.type
+        at = [slice(None)] * x.ndim
+        for t in range(1, k):
+            m = min(len(starts), (size - 1 - t) // s + 1)  # windows that reach tap t
+            at[axis] = slice(t, t + s * (m - 1) + 1, s)
+            src = x[tuple(at)]
+            label = tap(t) if inner is None else inner[tuple(at)] + tap(t * k)
+            at[axis] = slice(0, m)
+            dst, won = best[tuple(at)], route[tuple(at)]
+            upd = dst < src
+            # a NaN propagates; on a -0/+0 tie numpy's x86 max returns its
+            # second operand, so dst, the earlier tap, keeps its sign
+            np.maximum(src, dst, out=dst)
+            np.maximum(won, upd * label, out=won)
+        return best, route
 
     def forward(self, x, train=False):
-        n, c, h, w = x.shape
-        ho, wo = self._out_extent(h), self._out_extent(w)
-        out = np.empty((n, c, ho, wo), dtype=x.dtype)
-        arg_i = np.empty((n, c, ho, wo), dtype=np.intp)
-        arg_j = np.empty((n, c, ho, wo), dtype=np.intp)
-        for i in range(ho):
-            hs = min(i * self.stride, h - 1)
-            he = min(hs + self.window, h)
-            for j in range(wo):
-                ws = min(j * self.stride, w - 1)
-                we = min(ws + self.window, w)
-                win = x[:, :, hs:he, ws:we].reshape(n, c, -1)
-                flat = win.argmax(axis=2)
-                out[:, :, i, j] = np.take_along_axis(win, flat[:, :, None], axis=2)[:, :, 0]
-                arg_i[:, :, i, j] = hs + flat // (we - ws)
-                arg_j[:, :, i, j] = ws + flat % (we - ws)
-        self._cache = (x.shape, arg_i, arg_j)
+        # columns first, then rows: the first max in row-major order wins
+        cols, col_route = self._first_max(x, 3)
+        out, route = self._first_max(cols, 2, col_route)
+        self._cache = (x.shape, route)
         return out
 
     def backward(self, grad_out):
         self._require_forward(self._cache)
-        x_shape, arg_i, arg_j = self._cache
-        n, c = x_shape[:2]
-        if grad_out.shape != arg_i.shape:
-            raise ShapeError(f"MaxPool backward: grad shape {grad_out.shape} != {arg_i.shape}")
+        x_shape, route = self._cache
+        if grad_out.shape != route.shape:
+            raise ShapeError(f"MaxPool backward: grad shape {grad_out.shape} != {route.shape}")
+        n, c, h, w = x_shape
+        k = self.window
+        # flat input index of each output's routed tap, in output order
+        src = np.add.outer(np.arange(k) * w, np.arange(k)).reshape(-1)[route]
+        src += (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
+        src += (self._starts(h) * w)[:, None] + self._starts(w)
         dx = np.zeros(x_shape, dtype=grad_out.dtype)
-        nn, cc = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
-        nn = nn[:, :, None, None]
-        cc = cc[:, :, None, None]
-        np.add.at(dx, (nn, cc, arg_i, arg_j), grad_out)
+        np.add.at(dx.reshape(-1), src.reshape(-1), grad_out.reshape(-1))
         return dx
 
     def kink_signature(self):
-        if self._cache is None:
-            return b""
-        _, arg_i, arg_j = self._cache
-        return arg_i.tobytes() + arg_j.tobytes()
+        return self._cache[1].tobytes() if self._cache is not None else b""
 
 
 class LRN(Layer):
@@ -290,7 +312,7 @@ class Dense(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: train-time masking with 1/(1-p) rescale, eval identity."""
+    """Inverted dropout: train-time mask scaled by 1/(1-p) in the input's dtype; eval identity."""
 
     def __init__(self, p, rng=None):
         if not 0.0 <= p < 1.0:
@@ -301,10 +323,10 @@ class Dropout(Layer):
 
     def forward(self, x, train=False):
         if not train or self.p == 0.0:
-            self._mask = np.ones_like(x)
+            self._mask = 1  # identity: backward passes the gradient through
             return x
         keep = self.rng.random(x.shape) >= self.p
-        self._mask = keep / (1.0 - self.p)
+        self._mask = keep * x.dtype.type(1.0 / (1.0 - self.p))
         return x * self._mask
 
     def backward(self, grad_out):

@@ -220,7 +220,8 @@ def baseline_of(spec):
     """Baseline spec reachable from a maxmin spec by dropping the doubling."""
     descs = []
     c_prev = None
-    for d in spec.layers:
+    consumers = _doubled_consumers(spec)
+    for i, d in enumerate(spec.layers):
         d = dict(d)
         if d["kind"] == "maxmin":
             continue
@@ -229,7 +230,7 @@ def baseline_of(spec):
                 d["in"] = c_prev
             c_prev = d["filters"]
         elif d["kind"] == "dense":
-            d["in"] = d["in"] // 2 if _consumes_doubled(spec, d) else d["in"]
+            d["in"] = d["in"] // 2 if i in consumers else d["in"]
         elif d["kind"] == "lrn":
             d["groups"] = 1
         descs.append(d)
@@ -249,13 +250,6 @@ def _doubled_consumers(spec):
                 consumers.add(i)
             doubled = False
     return consumers
-
-
-def _consumes_doubled(spec, desc):
-    for i, d in enumerate(spec.layers):
-        if d is desc or d == desc:
-            return i in _doubled_consumers(spec)
-    return False
 
 
 def reduce_to_baseline(maxmin_net, dtype=np.float64):

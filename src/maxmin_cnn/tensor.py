@@ -19,24 +19,6 @@ def concat_channels(a, b):
     return np.concatenate([a, b], axis=1)
 
 
-def negate(x):
-    """Elementwise negation, same shape."""
-    return -x
-
-
-def matmul(a, b):
-    """Matrix product with an inner-dimension check.
-
-    Delegates to numpy's GEMM, which uses a fixed summation order for
-    identical inputs, so repeated calls are bit-identical.
-    """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    return a @ b
-
-
 def conv_out_size(size, k, stride, pad):
     """Output extent of a convolution along one spatial axis."""
     if k < 1 or stride < 1 or pad < 0:

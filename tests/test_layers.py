@@ -32,17 +32,38 @@ def conv_oracle(x, weights, bias, stride, pad):
 
 
 def pool_oracle(x, window, stride):
-    """Direct pooling with edge-clamped windows."""
+    """Per-window loop over edge-clamped windows, first max in row-major order.
+
+    Returns the pooled output and the (row, col) input index each output
+    routes its gradient to.
+    """
     n, c, h, w = x.shape
     ho = -((h - window) // -stride) + 1
     wo = -((w - window) // -stride) + 1
-    out = np.empty((n, c, ho, wo))
+    out = np.empty((n, c, ho, wo), dtype=x.dtype)
+    arg_i = np.empty((n, c, ho, wo), dtype=np.intp)
+    arg_j = np.empty((n, c, ho, wo), dtype=np.intp)
     for i in range(ho):
+        hs = min(i * stride, h - 1)
+        he = min(hs + window, h)
         for j in range(wo):
-            he = min(i * stride + window, h)
-            we = min(j * stride + window, w)
-            out[:, :, i, j] = x[:, :, i * stride:he, j * stride:we].max(axis=(2, 3))
-    return out
+            ws = min(j * stride, w - 1)
+            we = min(ws + window, w)
+            win = x[:, :, hs:he, ws:we].reshape(n, c, -1)
+            flat = win.argmax(axis=2)
+            out[:, :, i, j] = np.take_along_axis(win, flat[:, :, None], axis=2)[:, :, 0]
+            arg_i[:, :, i, j] = hs + flat // (we - ws)
+            arg_j[:, :, i, j] = ws + flat % (we - ws)
+    return out, arg_i, arg_j
+
+
+def pool_backward_oracle(x_shape, arg_i, arg_j, grad_out):
+    """Scatter-add each output gradient onto its routed input, in output order."""
+    n, c = x_shape[:2]
+    dx = np.zeros(x_shape, dtype=grad_out.dtype)
+    nn, cc = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
+    np.add.at(dx, (nn[:, :, None, None], cc[:, :, None, None], arg_i, arg_j), grad_out)
+    return dx
 
 
 def make_conv(in_c, f, k, stride=1, pad=0, seed=0, scale=1.0):
@@ -178,6 +199,31 @@ class TestReLU:
         report = grad_check_layer(L.ReLU(), x, tolerance=1e-6)
         assert report.passed, str(report)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_masked_select(self, dtype):
+        x = rng.standard_normal((4, 3, 5, 5)).astype(dtype)
+        x.flat[:6] = [0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45]
+        out = L.ReLU().forward(x)
+        assert out.dtype == dtype
+        assert out.tobytes() == np.where(x > 0, x, 0.0).astype(dtype).tobytes()
+
+    def test_nan_propagates(self):
+        out = L.ReLU().forward(np.array([np.nan, -1.0, 2.0]))
+        assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == 2.0
+
+    def test_signature_is_packed_mask(self):
+        relu = L.ReLU()
+        x = rng.standard_normal((2, 3, 5, 5))
+        relu.forward(x)
+        sig = relu.kink_signature()
+        assert len(sig) == -(-x.size // 8)
+        y = x.copy()
+        y[0, 0, 0, 0] = -y[0, 0, 0, 0]
+        relu.forward(y)
+        assert relu.kink_signature() != sig
+        relu.forward(x + 0.0)
+        assert relu.kink_signature() == sig
+
 
 class TestMaxPool:
     def test_constant_input_tie_rule(self):
@@ -198,7 +244,7 @@ class TestMaxPool:
     def test_matches_pool_oracle(self):
         pool = L.MaxPool(window=3, stride=2)
         x = rng.standard_normal((2, 3, 8, 8))
-        np.testing.assert_array_equal(pool.forward(x), pool_oracle(x, 3, 2))
+        np.testing.assert_array_equal(pool.forward(x), pool_oracle(x, 3, 2)[0])
 
     def test_clamped_spatial_progression(self):
         pool = L.MaxPool(window=3, stride=2)
@@ -214,6 +260,62 @@ class TestMaxPool:
         x = rng.standard_normal((2, 2, 6, 6)) * 10  # well-separated values
         report = grad_check_layer(L.MaxPool(window=3, stride=2), x, tolerance=1e-6)
         assert report.passed, str(report)
+
+    def test_route_is_one_byte_per_output(self):
+        pool = L.MaxPool(window=3, stride=2)
+        out = pool.forward(rng.standard_normal((2, 3, 8, 8)))
+        assert len(pool.kink_signature()) == out.size
+
+
+# Small integers make ties common; +-0 and +-inf probe the comparisons.
+POOL_VALUES = [-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, np.inf, -np.inf]
+
+
+@st.composite
+def pool_cases(draw):
+    window = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 3))
+    h = draw(st.integers(window, window + 6))
+    w = draw(st.integers(window, window + 6))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)), h, w)
+    values = draw(st.lists(st.sampled_from(POOL_VALUES), min_size=int(np.prod(shape)),
+                           max_size=int(np.prod(shape))))
+    x = np.array(values, dtype=dtype).reshape(shape)
+    return window, stride, x, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool_cases())
+def test_maxpool_matches_loop_oracle(case):
+    window, stride, x, seed = case
+    r = np.random.default_rng(seed)
+    pool = L.MaxPool(window, stride)
+    out = pool.forward(x)
+    ref, arg_i, arg_j = pool_oracle(x, window, stride)
+    assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+    g = r.standard_normal(out.shape).astype(x.dtype)
+    dx = pool.backward(g)
+    assert dx.tobytes() == pool_backward_oracle(x.shape, arg_i, arg_j, g).tobytes()
+
+    # a second input one changed entry away: signatures agree iff routes do
+    sig = pool.kink_signature()
+    y = x.copy()
+    y.flat[r.integers(x.size)] = r.choice(POOL_VALUES)
+    pool.forward(y)
+    _, yi, yj = pool_oracle(y, window, stride)
+    routes_equal = np.array_equal(arg_i, yi) and np.array_equal(arg_j, yj)
+    assert (pool.kink_signature() == sig) == routes_equal
+
+    # a NaN anywhere in a window makes that output NaN, as in the oracle
+    o = np.unravel_index(r.integers(yi.size), yi.shape)
+    y[o[0], o[1], yi[o], yj[o]] = np.nan
+    out, ref = pool.forward(y), pool_oracle(y, window, stride)[0]
+    nan = np.isnan(ref)
+    assert nan.any()
+    np.testing.assert_array_equal(np.isnan(out), nan)
+    assert out[~nan].tobytes() == ref[~nan].tobytes()
 
 
 class TestLRN:

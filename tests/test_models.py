@@ -33,6 +33,26 @@ class TestPresets:
         assert kinds.count("dropout") == 2
         assert "lrn" not in [d["kind"] for d in models.cifar_spec("maxmin").layers]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("spec", [
+        models.mnist_spec("baseline"), models.mnist_spec("maxmin"),
+        models.cifar_spec("baseline"), models.cifar_spec("maxmin"),
+        models.cifar_spec("baseline", boost=True), models.cifar_spec("maxmin", boost=True),
+    ], ids=["mnist-baseline", "mnist-maxmin", "cifar-baseline", "cifar-maxmin",
+            "cifar-baseline-boost", "cifar-maxmin-boost"])
+    def test_every_layer_keeps_net_dtype(self, spec, dtype):
+        net = models.build_network(spec, seed=4, dtype=dtype)
+        x = np.random.default_rng(4).random((2,) + spec.input_shape).astype(dtype)
+        for layer in net.layers:
+            x = layer.forward(x, train=True)
+            assert x.dtype == dtype, type(layer).__name__
+        _, probs = net.loss_layer.forward(x, np.array([1, 7]))
+        assert probs.dtype == dtype
+        g = net.loss_layer.backward()
+        for layer in reversed(net.layers):
+            g = layer.backward(g)
+            assert g.dtype == dtype, type(layer).__name__
+
     def test_init_statistics(self):
         net = models.build_mnist("baseline", seed=3)
         for _, name, value, _ in net.params():
@@ -97,6 +117,21 @@ class TestReduction:
             x = rng.random((2,) + shape)
             diff = np.abs(reduced.forward(x) - baseline.forward(x)).max()
             assert diff <= 1e-12
+
+    def test_identical_dense_descriptors_keep_their_own_input(self):
+        """Only the dense layer right after the doubling halves its input."""
+        k = 4  # conv: 1 filter on 2x2, doubled to 2k = 8 features
+        spec = models.NetworkSpec(input_shape=(1, 2, 2), num_classes=2 * k, layers=[
+            dict(kind="conv", **{"in": 1}, filters=1, kernel=1, stride=1, pad=0),
+            dict(kind="maxmin"), dict(kind="flatten"),
+            dict(kind="dense", **{"in": 2 * k}, out=2 * k), dict(kind="relu"),
+            dict(kind="dense", **{"in": 2 * k}, out=2 * k),
+        ])
+        dense_in = [d["in"] for d in models.baseline_of(spec).layers if d["kind"] == "dense"]
+        assert dense_in == [k, 2 * k]
+        reduced, baseline = models.reduce_to_baseline(models.build_network(spec, seed=5))
+        x = rng.random((3, 1, 2, 2))
+        assert np.abs(reduced.forward(x) - baseline.forward(x)).max() <= 1e-12
 
     def test_filter_negation_swaps_block_channels(self):
         """Negating filter f swaps post-ReLU channels f and C+f exactly."""

@@ -2,26 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 
 from maxmin_cnn.errors import ConfigError, ShapeError
-from maxmin_cnn.tensor import col2im, concat_channels, conv_out_size, im2col, matmul, negate
+from maxmin_cnn.tensor import col2im, concat_channels, conv_out_size, im2col
 
 rng = np.random.default_rng(42)
-
-
-def matmul_oracle(a, b):
-    """Triple-nested-loop matrix product with the same k-order summation."""
-    m, k = a.shape
-    _, p = b.shape
-    out = np.zeros((m, p))
-    for i in range(m):
-        for j in range(p):
-            acc = 0.0
-            for kk in range(k):
-                acc += a[i, kk] * b[kk, j]
-            out[i, j] = acc
-    return out
 
 
 class TestConcatChannels:
@@ -60,47 +45,6 @@ class TestConcatChannels:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(1, 1, 2, 2\).*\(1, 1, 3, 3\)"):
             concat_channels(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)))
-
-
-class TestNegate:
-    def test_definition(self):
-        np.testing.assert_array_equal(negate(np.array([1.0, -2.0, 0.0])), [-1.0, 2.0, 0.0])
-
-    def test_zeros_fixed_point(self):
-        z = np.zeros((2, 2))
-        np.testing.assert_array_equal(negate(z), z)
-
-    @given(arrays(np.float64, array_shapes(max_dims=4, max_side=5),
-                  elements=st.floats(-1e6, 1e6)))
-    def test_involution(self, x):
-        np.testing.assert_array_equal(negate(negate(x)), x)
-        assert negate(x).shape == x.shape
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = rng.random((3, 4))
-        np.testing.assert_array_equal(matmul(np.eye(3), b), b)
-
-    def test_hand_arithmetic(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
-        np.testing.assert_array_equal(out, [[17.0], [39.0]])
-
-    def test_triple_loop_oracle(self):
-        a = rng.random((4, 5))
-        b = rng.random((5, 3))
-        np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b), rtol=1e-14)
-
-    def test_bit_deterministic(self):
-        a = rng.random((17, 23))
-        b = rng.random((23, 11))
-        first = matmul(a, b)
-        for _ in range(5):
-            np.testing.assert_array_equal(matmul(a, b), first)
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
 
 
 class TestIm2col:

@@ -61,6 +61,14 @@ class TestTrainLoop:
             train(net, synthetic_data(8, seed=6), synthetic_data(4, seed=7),
                   TrainConfig(epochs=1, batch_size=4, learning_rate=10.0))
 
+    def test_nan_input_is_reported_not_zeroed(self):
+        """ReLU and pooling carry a NaN through, so the loss itself is non-finite."""
+        data = synthetic_data(8, seed=6)
+        data.images[3, 0, 10, 10] = np.nan
+        with pytest.raises(DivergenceError, match=r"non-finite loss at epoch 0 batch 0"):
+            train(tiny_net(seed=6), data, synthetic_data(4, seed=7),
+                  TrainConfig(epochs=1, batch_size=8))
+
     def test_checkpoints_and_metrics_files(self, tmp_path):
         net = tiny_net(seed=8)
         out = tmp_path / "run"
