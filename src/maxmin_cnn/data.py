@@ -14,6 +14,7 @@ from .errors import DataError
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073
+MNIST_SIDE = 28
 
 
 @dataclasses.dataclass
@@ -50,6 +51,9 @@ def load_mnist(images_path, labels_path):
     with open(images_path, "rb") as fh:
         blob = fh.read()
     (n, rows, cols), off = _read_idx_header(blob, images_path, IDX_IMAGES_MAGIC, 3)
+    if (rows, cols) != (MNIST_SIDE, MNIST_SIDE):
+        raise DataError(f"{images_path}: images are {rows}x{cols}, "
+                        f"expected {MNIST_SIDE}x{MNIST_SIDE}")
     if len(blob) - off < n * rows * cols:
         raise DataError(
             f"{images_path}: truncated image payload at byte {len(blob)}, "
@@ -57,8 +61,7 @@ def load_mnist(images_path, labels_path):
         )
     raw = np.frombuffer(blob, dtype=np.uint8, count=n * rows * cols, offset=off)
     images = raw.reshape(n, 1, rows, cols).astype(np.float64) / 255.0
-    pad = (32 - rows) // 2
-    images = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    images = np.pad(images, ((0, 0), (0, 0), (2, 2), (2, 2)))
 
     with open(labels_path, "rb") as fh:
         lblob = fh.read()

@@ -7,7 +7,7 @@ forward and backward mutate the caches.
 import numpy as np
 
 from .errors import ConfigError, LayerStateError, ShapeError
-from .tensor import col2im, concat_channels, conv_out_size, im2col
+from .tensor import col2im, concat_channels, conv_out_size, im2col, pool_out_size
 
 
 class Layer:
@@ -42,7 +42,20 @@ class Layer:
 
 
 class Conv2D(Layer):
-    """2-D cross-correlation (no kernel flip) lowered to a GEMM via im2col."""
+    """2-D cross-correlation (no kernel flip) lowered to GEMMs on its narrower side.
+
+    A conv that narrows its channels (filters < in_channels) at stride 1
+    with pad <= kernel - 1, like conv2 and conv3 of the MaxMin presets
+    (2F -> F), is lowered on the output side. The forward multiplies the
+    flipped weights, one row per (filter, tap), (F*kh*kw x C) by the
+    channel-major input (C x N*H*W), and col2im scatters the product
+    onto the F output channels with pad kernel - 1 - pad. The backward
+    takes one im2col of grad_out, which feeds both the weight- and the
+    input-gradient GEMM. Any other conv lowers its input: im2col and a
+    GEMM forward, a GEMM and col2im backward. col2im accumulates on a
+    channel-major canvas, so either way the output is an NCHW view of
+    channel-major memory.
+    """
 
     def __init__(self, in_channels, filters, kernel_size, stride=1, pad=0,
                  rng=None, init_std=0.01, dtype=np.float64):
@@ -51,14 +64,20 @@ class Conv2D(Layer):
         rng = rng or np.random.default_rng()
         self.stride = stride
         self.pad = pad
-        self.kh = self.kw = kernel_size
         self.weights = rng.normal(0.0, init_std,
                                   (filters, in_channels, kernel_size, kernel_size)).astype(dtype)
         self.bias = np.zeros(filters, dtype=dtype)
         self.w_grad = np.zeros_like(self.weights)
         self.b_grad = np.zeros_like(self.bias)
-        self._cols = None
+        self.output_side = (filters < in_channels and stride == 1
+                            and pad <= kernel_size - 1)
+        self._lowered = None  # output side: x as C x N*H*W; input side: im2col(x)
         self._x_shape = None
+
+    def _taps(self):
+        """Flipped weights, rows (f, tap) and columns c: the output side's GEMM operand."""
+        f, c = self.weights.shape[:2]
+        return self.weights[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, c)
 
     def forward(self, x, train=False):
         f, c, kh, kw = self.weights.shape
@@ -68,21 +87,33 @@ class Conv2D(Layer):
         ho = conv_out_size(x.shape[2], kh, self.stride, self.pad)
         wo = conv_out_size(x.shape[3], kw, self.stride, self.pad)
         self._x_shape = x.shape
-        self._cols = im2col(x, kh, kw, self.stride, self.pad)
-        out = self.weights.reshape(f, -1) @ self._cols + self.bias[:, None]
+        if self.output_side:
+            self._lowered = x.transpose(1, 0, 2, 3).reshape(c, -1)
+            out = col2im(self._taps() @ self._lowered, (n, f, ho, wo), kh, kw, 1,
+                         kh - 1 - self.pad)
+            out += self.bias[:, None, None]
+            return out
+        self._lowered = im2col(x, kh, kw, self.stride, self.pad)
+        out = self.weights.reshape(f, -1) @ self._lowered + self.bias[:, None]
         return out.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
 
     def backward(self, grad_out):
-        self._require_forward(self._cols)
-        f = self.weights.shape[0]
+        self._require_forward(self._lowered)
+        f, c, kh, kw = self.weights.shape
         n, fo, ho, wo = grad_out.shape
         if fo != f:
             raise ShapeError(f"Conv2D backward: grad channels {fo} != filters {f}")
         g = grad_out.transpose(1, 0, 2, 3).reshape(f, -1)
-        self.w_grad += (g @ self._cols.T).reshape(self.weights.shape)
         self.b_grad += g.sum(axis=1)
+        if self.output_side:
+            gcols = im2col(grad_out, kh, kw, 1, kh - 1 - self.pad)
+            dtaps = (gcols @ self._lowered.T).reshape(f, kh, kw, c)
+            self.w_grad += dtaps.transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
+            dx = self._taps().T @ gcols
+            return dx.reshape(c, n, *self._x_shape[2:]).transpose(1, 0, 2, 3)
+        self.w_grad += (g @ self._lowered.T).reshape(self.weights.shape)
         dcols = self.weights.reshape(f, -1).T @ g
-        return col2im(dcols, self._x_shape, self.kh, self.kw, self.stride, self.pad)
+        return col2im(dcols, self._x_shape, kh, kw, self.stride, self.pad)
 
     def params(self):
         return [("weights", self.weights, self.w_grad), ("bias", self.bias, self.b_grad)]
@@ -130,7 +161,9 @@ class ReLU(Layer):
 
     def backward(self, grad_out):
         self._require_forward(self._mask)
-        return np.where(self._mask, grad_out, 0.0)
+        # a multiply is 4x faster than np.where(mask, g, 0); for finite g it
+        # differs only in the sign of a zero (an off unit gives g * 0)
+        return grad_out * self._mask
 
     def kink_signature(self):
         return np.packbits(self._mask).tobytes() if self._mask is not None else b""
@@ -157,9 +190,7 @@ class MaxPool(Layer):
 
     def _starts(self, size):
         """First input index of each window along an axis of ``size``."""
-        if size < self.window:
-            raise ConfigError(f"MaxPool: window {self.window} exceeds input extent {size}")
-        extent = -((size - self.window) // -self.stride) + 1
+        extent = pool_out_size(size, self.window, self.stride)
         return np.minimum(np.arange(extent) * self.stride, size - 1)
 
     def _first_max(self, x, axis, inner=None):

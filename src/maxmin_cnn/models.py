@@ -8,6 +8,7 @@ import numpy as np
 
 from . import layers as L
 from .errors import ConfigError, ShapeError, WeightFileError
+from .tensor import conv_out_size, pool_out_size
 
 LRN_DEFAULTS = dict(depth_radius=2, k=1.0, alpha=1e-4, beta=0.75)
 
@@ -72,7 +73,11 @@ class Network:
 
 
 def _spatial_after(spec):
-    """Walk descriptors and return the flattened feature length."""
+    """Walk descriptors and return the flattened feature length.
+
+    Uses the layers' own shape rules, so a spec whose geometry a layer
+    would reject raises ConfigError here.
+    """
     c, h, w = spec.input_shape
     for d in spec.layers:
         kind = d["kind"]
@@ -80,13 +85,11 @@ def _spatial_after(spec):
             if d["in"] != c:
                 raise ConfigError(f"conv expects {d['in']} channels, chain provides {c}")
             c = d["filters"]
-            h = (h + 2 * d["pad"] - d["kernel"]) // d["stride"] + 1
-            w = (w + 2 * d["pad"] - d["kernel"]) // d["stride"] + 1
+            h, w = (conv_out_size(s, d["kernel"], d["stride"], d["pad"]) for s in (h, w))
         elif kind == "maxmin":
             c *= 2
         elif kind == "pool":
-            h = -((h - d["window"]) // -d["stride"]) + 1
-            w = -((w - d["window"]) // -d["stride"]) + 1
+            h, w = (pool_out_size(s, d["window"], d["stride"]) for s in (h, w))
         elif kind == "flatten":
             return c * h * w
     return c * h * w
@@ -94,6 +97,7 @@ def _spatial_after(spec):
 
 def build_network(spec, seed=0, dtype=np.float64):
     """Instantiate a spec with seeded Gaussian(0, 0.01) weights, zero biases."""
+    _spatial_after(spec)  # reject bad geometry before any weights are drawn
     rng = np.random.default_rng(seed)
     objs = []
     for d in spec.layers:

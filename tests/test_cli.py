@@ -61,6 +61,16 @@ class TestValidation:
         assert "fetch" in capsys.readouterr().err.lower() or True
         err = capsys.readouterr().err
 
+    def test_wrong_image_size_exit_3(self, mnist_dir, capsys):
+        """40x40 digits used to reach np.pad with a negative width (exit 2)."""
+        with open(mnist_dir / "train-images-idx3-ubyte", "wb") as fh:
+            fh.write(struct.pack(">4i", D.IDX_IMAGES_MAGIC, 40, 40, 40))
+            fh.write(bytes(40 * 40 * 40))
+        code = cli.main(["train", "--dataset", "mnist", "--arch", "baseline",
+                         "--epochs", "1", "--data-dir", str(mnist_dir)])
+        assert code == 3
+        assert "40x40, expected 28x28" in capsys.readouterr().err
+
     def test_no_data_dir_exit_3(self, monkeypatch):
         monkeypatch.delenv("DATA_DIR", raising=False)
         parser_default_none = cli.main(["train", "--dataset", "mnist",

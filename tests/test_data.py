@@ -74,6 +74,14 @@ class TestLoadMnist:
         with pytest.raises(DataError, match="labels"):
             D.load_mnist(ip, lp)
 
+    @pytest.mark.parametrize("rows,cols", [(29, 29), (30, 28)])
+    def test_non_28x28_images_rejected(self, mnist_files, tmp_path, rows, cols):
+        _, lp, _, _ = mnist_files
+        ip = tmp_path / f"imgs_{rows}x{cols}"
+        write_idx_images(ip, rng.integers(0, 256, (20, rows, cols), dtype=np.uint8))
+        with pytest.raises(DataError, match=f"{rows}x{cols}, expected 28x28"):
+            D.load_mnist(ip, lp)
+
 
 class TestLoadCifar10:
     def make_batch(self, path, n=4):

@@ -89,11 +89,32 @@ class TestConv2D:
         np.testing.assert_array_equal(conv.forward(x), [[[[10.0]]]])
 
     def test_matches_direct_oracle(self):
-        conv = make_conv(3, 4, 5, seed=3)
-        x = rng.random((2, 3, 8, 8))
+        # 3->4 lowers its input; 8->3 narrows, so it lowers its output
+        for in_c, f, pad, output_side in ((3, 4, 0, False), (8, 3, 2, True)):
+            conv = make_conv(in_c, f, 5, pad=pad, seed=3)
+            assert conv.output_side is output_side
+            x = rng.random((2, in_c, 8, 7))
+            out = conv.forward(x)
+            ref = conv_oracle(x, conv.weights, conv.bias, 1, pad)
+            np.testing.assert_allclose(out, ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("stride,pad", [(2, 1), (1, 3)])
+    def test_narrowing_conv_off_the_rule_lowers_its_input(self, stride, pad):
+        """Stride > 1 or pad > kernel - 1 keeps a C > F conv on the input side."""
+        conv = make_conv(6, 2, 3, stride=stride, pad=pad, seed=17)
+        assert not conv.output_side
+        x = rng.random((2, 6, 7, 7))
+        ref = conv_oracle(x, conv.weights, conv.bias, stride, pad)
+        np.testing.assert_allclose(conv.forward(x), ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("in_c,f", [(2, 3), (6, 3)])
+    def test_float32_stays_float32(self, in_c, f):
+        conv = L.Conv2D(in_c, f, 3, pad=1, rng=np.random.default_rng(0), dtype=np.float32)
+        assert conv.output_side is (in_c > f)
+        x = rng.standard_normal((2, in_c, 5, 5)).astype(np.float32)
         out = conv.forward(x)
-        ref = conv_oracle(x, conv.weights, conv.bias, 1, 0)
-        np.testing.assert_allclose(out, ref, rtol=1e-12)
+        dx = conv.backward(np.ones_like(out))
+        assert (out.dtype, dx.dtype, conv.w_grad.dtype, conv.b_grad.dtype) == (np.float32,) * 4
 
     def test_strided_padded_oracle(self):
         conv = make_conv(2, 3, 3, stride=2, pad=1, seed=5)
@@ -118,10 +139,12 @@ class TestConv2D:
         np.testing.assert_array_equal(conv.backward(g), g)
 
     def test_gradients_vs_finite_differences(self):
-        conv = make_conv(2, 3, 3, stride=1, pad=1, seed=11, scale=0.5)
-        x = rng.standard_normal((2, 2, 6, 6))
-        report = grad_check_layer(conv, x, tolerance=1e-4)
-        assert report.passed, str(report)
+        for in_c, f, pad in ((2, 3, 1), (6, 3, 1), (6, 3, 0)):
+            conv = make_conv(in_c, f, 3, stride=1, pad=pad, seed=11, scale=0.5)
+            assert conv.output_side is (in_c > f)
+            x = rng.standard_normal((2, in_c, 6, 5))
+            report = grad_check_layer(conv, x, tolerance=1e-4)
+            assert report.passed, str(report)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
@@ -132,13 +155,15 @@ class TestConv2D:
             make_conv(1, 1, 1).backward(np.zeros((1, 1, 2, 2)))
 
     def test_negation_symmetry(self):
-        """conv(x, -W, -b) == -conv(x, W, b) exactly."""
-        conv = make_conv(3, 4, 5, seed=13)
-        x = rng.standard_normal((2, 3, 9, 9))
-        pos = conv.forward(x)
-        conv.weights[...] = -conv.weights
-        conv.bias[...] = -conv.bias
-        np.testing.assert_array_equal(conv.forward(x), -pos)
+        """conv(x, -W, -b) == -conv(x, W, b) exactly, on either side."""
+        for in_c, f in ((3, 4), (8, 4)):
+            conv = make_conv(in_c, f, 5, pad=2, seed=13)
+            assert conv.output_side is (in_c > f)
+            x = rng.standard_normal((2, in_c, 9, 9))
+            pos = conv.forward(x)
+            conv.weights[...] = -conv.weights
+            conv.bias[...] = -conv.bias
+            np.testing.assert_array_equal(conv.forward(x), -pos)
 
 
 class TestMaxMin:
@@ -206,6 +231,20 @@ class TestReLU:
         out = L.ReLU().forward(x)
         assert out.dtype == dtype
         assert out.tobytes() == np.where(x > 0, x, 0.0).astype(dtype).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_equals_masked_select(self, dtype):
+        """The mask multiply matches np.where up to the sign of a zero."""
+        x = rng.standard_normal((3, 4, 5, 5)).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        big = np.finfo(dtype).max
+        x.flat[:4] = g.flat[4:8] = [0.0, -0.0, big, -big]
+        g.flat[:4] = [big, -big, -0.0, 0.0]
+        relu = L.ReLU()
+        relu.forward(x)
+        dx = relu.backward(g)
+        assert dx.dtype == dtype
+        assert np.array_equal(dx, np.where(x > 0, g, 0.0))
 
     def test_nan_propagates(self):
         out = L.ReLU().forward(np.array([np.nan, -1.0, 2.0]))

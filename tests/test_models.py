@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from maxmin_cnn import models
-from maxmin_cnn.errors import WeightFileError
+from maxmin_cnn.errors import ConfigError, WeightFileError
 from maxmin_cnn.layers import Conv2D, Dense
 
 rng = np.random.default_rng(21)
@@ -66,6 +66,19 @@ class TestPresets:
         b = models.build_mnist("maxmin", seed=5)
         for (_, _, va, _), (_, _, vb, _) in zip(a.params(), b.params()):
             np.testing.assert_array_equal(va, vb)
+
+    @pytest.mark.parametrize("conv,pool", [
+        (dict(kernel=2, stride=2, pad=0), dict(window=2, stride=2)),  # (5 - 2) / 2
+        (dict(kernel=3, stride=1, pad=1), dict(window=6, stride=2)),  # window > 5
+    ])
+    def test_bad_geometry_fails_at_build(self, conv, pool):
+        spec = models.NetworkSpec(input_shape=(1, 5, 5), num_classes=10, layers=[
+            dict(kind="conv", **{"in": 1}, filters=2, **conv),
+            dict(kind="pool", **pool), dict(kind="flatten"),
+            dict(kind="dense", **{"in": 8}, out=10),
+        ])
+        with pytest.raises(ConfigError):
+            models.build_network(spec)
 
 
 class TestParamCount:
