@@ -150,7 +150,6 @@ def cmd_compare(args):
     rows = []
     for base_filters in budgets:
         mm_filters = models.matched_maxmin_filters(models.cifar_spec, base_filters)
-        nets = {}
         accs = {}
         counts = {}
         for arch, filters in (("baseline", base_filters), ("maxmin", mm_filters)):
@@ -163,7 +162,6 @@ def cmd_compare(args):
                                    weight_decay=args.weight_decay)
             net, _ = T.train(net, train_split, val_split, config)
             accs[arch] = T.evaluate(net, test)
-            nets[arch] = net
         rows.append((f"{'-'.join(map(str, base_filters))}",
                      f"{counts['baseline']}/{counts['maxmin']}",
                      f"{accs['baseline']:.4f}", f"{accs['maxmin']:.4f}"))

@@ -94,13 +94,6 @@ def load_cifar10(batch_paths):
     return LabeledImages(np.concatenate(all_images), np.concatenate(all_labels))
 
 
-def serialize_cifar10(data):
-    """Inverse of load_cifar10 for one batch; used for round-trip checks."""
-    pixels = np.round(data.images * 255.0).astype(np.uint8).reshape(len(data), 3072)
-    records = np.concatenate([data.labels.astype(np.uint8)[:, None], pixels], axis=1)
-    return records.tobytes()
-
-
 def split_train_val(data, val_fraction, seed):
     """Deterministic shuffled split; disjoint and exhaustive."""
     if not 0.0 < val_fraction < 1.0:

@@ -2,7 +2,9 @@
 
 Every layer caches its forward input and exposes accumulated parameter
 gradients through ``params()``. A layer instance is single-threaded:
-forward and backward mutate the caches.
+forward and backward mutate the caches, never their inputs. A layer with
+parameters also takes ``backward(grad_out, input_grad=False)``, which
+accumulates its parameter gradients only and returns None.
 """
 import numpy as np
 
@@ -97,7 +99,7 @@ class Conv2D(Layer):
         out = self.weights.reshape(f, -1) @ self._lowered + self.bias[:, None]
         return out.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         self._require_forward(self._lowered)
         f, c, kh, kw = self.weights.shape
         n, fo, ho, wo = grad_out.shape
@@ -109,9 +111,13 @@ class Conv2D(Layer):
             gcols = im2col(grad_out, kh, kw, 1, kh - 1 - self.pad)
             dtaps = (gcols @ self._lowered.T).reshape(f, kh, kw, c)
             self.w_grad += dtaps.transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
+            if not input_grad:
+                return None
             dx = self._taps().T @ gcols
             return dx.reshape(c, n, *self._x_shape[2:]).transpose(1, 0, 2, 3)
         self.w_grad += (g @ self._lowered.T).reshape(self.weights.shape)
+        if not input_grad:
+            return None
         dcols = self.weights.reshape(f, -1).T @ g
         return col2im(dcols, self._x_shape, kh, kw, self.stride, self.pad)
 
@@ -332,11 +338,11 @@ class Dense(Layer):
         self._x = x
         return x @ self.weights.T + self.bias
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         self._require_forward(self._x)
         self.w_grad += grad_out.T @ self._x
         self.b_grad += grad_out.sum(axis=0)
-        return grad_out @ self.weights
+        return grad_out @ self.weights if input_grad else None
 
     def params(self):
         return [("weights", self.weights, self.w_grad), ("bias", self.bias, self.b_grad)]

@@ -52,9 +52,17 @@ class Network:
         loss, probs = self.loss_layer.forward(logits, labels)
         return loss, probs
 
-    def backward(self):
+    def backward(self, input_grad=True):
+        """Backpropagate the last loss into every parameter gradient.
+
+        Returns the gradient with respect to the network input. With
+        ``input_grad=False`` a first layer with parameters (conv1 of every
+        preset) skips forming it and None is returned.
+        """
         g = self.loss_layer.backward()
-        for layer in reversed(self.layers):
+        for i, layer in reversed(list(enumerate(self.layers))):
+            if i == 0 and not input_grad and layer.params():
+                return layer.backward(g, input_grad=False)
             g = layer.backward(g)
         return g
 
@@ -189,10 +197,6 @@ def build_mnist(kind="baseline", filters=(64, 64, 64), seed=0, dtype=np.float64)
 def build_cifar(kind="baseline", filters=(32, 32, 64), fc_hidden=64, boost=False,
                 seed=0, dtype=np.float64):
     return build_network(cifar_spec(kind, filters, fc_hidden, boost), seed=seed, dtype=dtype)
-
-
-def param_count(net):
-    return net.param_count()
 
 
 def matched_maxmin_filters(spec_fn, base_filters, tolerance=0.15, **spec_kwargs):

@@ -79,11 +79,3 @@ class PlateauScheduler:
                 self.lr *= self.factor
                 self._stalled = 0
         return self.lr
-
-
-def plateau_schedule(history, lr, patience=3, factor=0.1):
-    """Final learning rate after replaying a validation-accuracy history."""
-    sched = PlateauScheduler(lr, patience=patience, factor=factor)
-    for acc in history:
-        sched.update(acc)
-    return sched.lr

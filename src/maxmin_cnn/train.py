@@ -103,7 +103,7 @@ def train(net, train_data, val_data, config, test_data=None):
             loss, probs = net.loss(x, y, train=True)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch} batch {b}")
-            net.backward()
+            net.backward(input_grad=False)  # nothing reads the input gradient
             opt.step(net)
             losses.append(loss)
             correct += int((probs.argmax(axis=1) == y).sum())
@@ -180,9 +180,12 @@ def _rel_error(a, n):
     return abs(a - n) / max(abs(a), abs(n), 1e-5)
 
 
-def _check_entries(loss_fn, targets, tolerance, step, samples_per_layer, rng,
-                   signature_fn=None):
+def _check_entries(loss_fn, targets, tolerance, step, samples_per_layer, rng, signature_fn):
     """Shared central-difference sweep.
+
+    Each target is (layer_idx, start, name, value, grad); ``loss_fn(start)``
+    and ``signature_fn(start)`` re-evaluate from layer ``start`` on, the
+    first layer a perturbation of that target can change.
 
     The loss of a ReLU/max-pool network is only piecewise smooth; a
     perturbation interval that crosses a kink makes the secant
@@ -195,18 +198,18 @@ def _check_entries(loss_fn, targets, tolerance, step, samples_per_layer, rng,
     """
     entries = []
     skipped = 0
-    for layer_idx, name, p, g in targets:
+    for layer_idx, start, name, p, g in targets:
         count = min(samples_per_layer, p.size)
         picks = rng.choice(p.size, size=count, replace=False)
         flat = p.reshape(-1)
         for k in picks:
             orig = flat[k]
             flat[k] = orig + step
-            lp = loss_fn()
-            sig_p = signature_fn() if signature_fn else b""
+            lp = loss_fn(start)
+            sig_p = signature_fn(start)
             flat[k] = orig - step
-            lm = loss_fn()
-            sig_m = signature_fn() if signature_fn else b""
+            lm = loss_fn(start)
+            sig_m = signature_fn(start)
             flat[k] = orig
             numeric = (lp - lm) / (2.0 * step)
             analytic = g.reshape(-1)[k]
@@ -230,24 +233,36 @@ def grad_check(net, x, labels, tolerance=1e-4, step=1e-5, samples_per_layer=200,
 
     Samples up to ``samples_per_layer`` scalar entries from every
     parameter tensor and from the input and perturbs each by +-step.
+    One clean forward records every layer's input; a perturbed parameter
+    of layer k then replays only layers k.. from that recorded input
+    (the network input replays them all). The layers before k would
+    recompute bit-identical outputs, since no layer changes its input,
+    so every loss equals that of a full forward. Kink signatures are
+    joined over the replayed layers only: the others are unchanged.
     """
     rng = np.random.default_rng(seed)
     x = np.ascontiguousarray(x)
     net.zero_grads()
-    net.loss(x, labels, train=False)
+    inputs = [x]  # inputs[k]: layer k's input in the clean forward; x is perturbed in place
+    for layer in net.layers:
+        inputs.append(layer.forward(inputs[-1], train=False))
+    net.loss_layer.forward(inputs.pop(), labels)
     dx = net.backward()
-    targets = [(i, name, p, g.copy()) for i, name, p, g in net.params()]
-    targets.append((-1, "input", x, dx))
+    targets = [(i, i, name, p, g.copy()) for i, name, p, g in net.params()]
+    targets.append((-1, 0, "input", x, dx))
 
-    def loss_fn():
-        loss, _ = net.loss(x, labels, train=False)
+    def loss_fn(start):
+        h = inputs[start]
+        for layer in net.layers[start:]:
+            h = layer.forward(h, train=False)
+        loss, _ = net.loss_layer.forward(h, labels)
         return loss
 
-    def signature_fn():
-        return b"".join(layer.kink_signature() for layer in net.layers)
+    def signature_fn(start):
+        return b"".join(layer.kink_signature() for layer in net.layers[start:])
 
     return _check_entries(loss_fn, targets, tolerance, step, samples_per_layer, rng,
-                          signature_fn=signature_fn)
+                          signature_fn)
 
 
 def grad_check_layer(layer, x, tolerance=1e-4, step=1e-5, samples_per_layer=200, seed=0):
@@ -262,11 +277,11 @@ def grad_check_layer(layer, x, tolerance=1e-4, step=1e-5, samples_per_layer=200,
     out = layer.forward(x, train=False)
     probe = rng.standard_normal(out.shape)
     dx = layer.backward(probe)
-    targets = [(0, name, p, g.copy()) for name, p, g in layer.params()]
-    targets.append((0, "input", x, dx))
+    targets = [(0, 0, name, p, g.copy()) for name, p, g in layer.params()]
+    targets.append((0, 0, "input", x, dx))
 
-    def loss_fn():
+    def loss_fn(_start):
         return float((layer.forward(x, train=False) * probe).sum())
 
     return _check_entries(loss_fn, targets, tolerance, step, samples_per_layer, rng,
-                          signature_fn=layer.kink_signature)
+                          lambda _start: layer.kink_signature())

@@ -17,6 +17,13 @@ def write_idx_images(path, images):
         fh.write(images.tobytes())
 
 
+def serialize_cifar10(data):
+    """Inverse of load_cifar10 for one batch."""
+    pixels = np.round(data.images * 255.0).astype(np.uint8).reshape(len(data), 3072)
+    records = np.concatenate([data.labels.astype(np.uint8)[:, None], pixels], axis=1)
+    return records.tobytes()
+
+
 def write_idx_labels(path, labels):
     with open(path, "wb") as fh:
         fh.write(struct.pack(">2i", D.IDX_LABELS_MAGIC, len(labels)))
@@ -104,7 +111,7 @@ class TestLoadCifar10:
         path = tmp_path / "batch.bin"
         self.make_batch(path)
         data = D.load_cifar10([path])
-        assert D.serialize_cifar10(data) == path.read_bytes()
+        assert serialize_cifar10(data) == path.read_bytes()
 
     def test_bad_record_size(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -53,6 +53,19 @@ class TestPresets:
             g = layer.backward(g)
             assert g.dtype == dtype, type(layer).__name__
 
+    @pytest.mark.parametrize("kind", ["baseline", "maxmin"])
+    def test_backward_without_input_gradient(self, kind):
+        """train's backward skips conv1's input gradient; parameter gradients are unchanged."""
+        x = np.random.default_rng(6).random((2, 1, 32, 32))
+        grads = []
+        for input_grad in (True, False):
+            net = models.build_mnist(kind, filters=(2, 2, 2), seed=6)
+            net.loss(x, np.array([3, 8]))
+            dx = net.backward(input_grad=input_grad)
+            assert (dx is None) == (not input_grad)
+            grads.append(b"".join(g.tobytes() for _, _, _, g in net.params()))
+        assert grads[0] == grads[1]
+
     def test_init_statistics(self):
         net = models.build_mnist("baseline", seed=3)
         for _, name, value, _ in net.params():

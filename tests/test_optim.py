@@ -3,7 +3,7 @@ import pytest
 
 from maxmin_cnn import models
 from maxmin_cnn.errors import DivergenceError
-from maxmin_cnn.optim import SGD, PlateauScheduler, SGDConfig, plateau_schedule
+from maxmin_cnn.optim import SGD, PlateauScheduler, SGDConfig
 
 
 class OneParamNet:
@@ -82,11 +82,14 @@ class TestSGDStep:
 
 class TestPlateauSchedule:
     def test_strictly_improving(self):
-        assert plateau_schedule([0.1, 0.2, 0.3, 0.4], 0.01, patience=2) == 0.01
+        sched = PlateauScheduler(0.01, patience=2)
+        rates = [sched.update(a) for a in [0.1, 0.2, 0.3, 0.4]]
+        assert rates[-1] == 0.01
 
     def test_flat_history(self):
-        lr = plateau_schedule([0.5, 0.5, 0.5, 0.5], 0.01, patience=3, factor=0.1)
-        assert lr == pytest.approx(0.001)
+        sched = PlateauScheduler(0.01, patience=3, factor=0.1)
+        rates = [sched.update(a) for a in [0.5, 0.5, 0.5, 0.5]]
+        assert rates[-1] == pytest.approx(0.001)
 
     def test_hand_walked_example(self):
         sched = PlateauScheduler(0.01, patience=2, factor=0.1)
@@ -94,8 +97,9 @@ class TestPlateauSchedule:
         assert rates == [0.01, 0.01, 0.01, pytest.approx(0.001)]
 
     def test_counter_resets_after_reduction(self):
-        lr = plateau_schedule([0.5] * 7, 0.01, patience=3, factor=0.1)
-        assert lr == pytest.approx(1e-4)  # two reductions in six stalled evals
+        sched = PlateauScheduler(0.01, patience=3, factor=0.1)
+        rates = [sched.update(a) for a in [0.5] * 7]
+        assert rates[-1] == pytest.approx(1e-4)  # two reductions in six stalled evals
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

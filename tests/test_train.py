@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from maxmin_cnn import layers as L
 from maxmin_cnn import models
 from maxmin_cnn.data import LabeledImages
 from maxmin_cnn.errors import DivergenceError
 from maxmin_cnn.layers import Dense
-from maxmin_cnn.train import (METRICS_HEADER, TrainConfig, evaluate, grad_check,
-                              grad_check_layer, train, write_metrics)
+from maxmin_cnn.train import (METRICS_HEADER, GradCheckEntry, GradCheckReport, TrainConfig,
+                              evaluate, grad_check, grad_check_layer, train, write_metrics)
 
 rng = np.random.default_rng(55)
 
@@ -18,6 +19,49 @@ def synthetic_data(n=20, shape=(1, 32, 32), classes=10, seed=0):
 
 def tiny_net(seed=0):
     return models.build_mnist("maxmin", filters=(2, 2, 2), seed=seed)
+
+
+def full_replay_oracle(net, x, labels, tolerance=1e-4, step=1e-5, samples_per_layer=200,
+                       seed=0):
+    """Reference grad_check without suffix replay: every loss and every kink
+    signature comes from a forward through the whole network."""
+    rng = np.random.default_rng(seed)
+    x = np.ascontiguousarray(x)
+    net.zero_grads()
+    net.loss(x, labels, train=False)
+    dx = net.backward()
+    targets = [(i, name, p, g.copy()) for i, name, p, g in net.params()]
+    targets.append((-1, "input", x, dx))
+
+    def evaluate_at(flat, k, value):
+        flat[k] = value
+        loss, _ = net.loss(x, labels, train=False)
+        return loss, b"".join(layer.kink_signature() for layer in net.layers)
+
+    entries, skipped = [], 0
+    for layer_idx, name, p, g in targets:
+        picks = rng.choice(p.size, size=min(samples_per_layer, p.size), replace=False)
+        flat = p.reshape(-1)
+        for k in picks:
+            orig = flat[k]
+            lp, sig_p = evaluate_at(flat, k, orig + step)
+            lm, sig_m = evaluate_at(flat, k, orig - step)
+            flat[k] = orig
+            numeric = (lp - lm) / (2.0 * step)
+            analytic = g.reshape(-1)[k]
+            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-5)
+            if err > tolerance and sig_p != sig_m:
+                skipped += 1
+                continue
+            entries.append(GradCheckEntry(layer_idx, name, int(k), float(analytic),
+                                          float(numeric), err))
+    entries.sort(key=lambda e: e.error, reverse=True)
+    max_error = entries[0].error if entries else 0.0
+    return GradCheckReport(
+        passed=max_error <= tolerance, tolerance=tolerance, max_error=max_error,
+        checked=len(entries), skipped_nonsmooth=skipped,
+        worst=[e for e in entries if e.error > tolerance][:20] or entries[:5],
+    )
 
 
 class TestTrainLoop:
@@ -142,6 +186,83 @@ class TestGradCheck:
         report = grad_check_layer(layer, rng.standard_normal((4, 8)), tolerance=1e-4)
         assert not report.passed
         assert any(e.name == "weights" for e in report.worst)
+
+
+REPLAY_NETS = {
+    "mnist-maxmin": (lambda: tiny_net(seed=21), (1, 32, 32)),
+    "mnist-baseline": (lambda: models.build_mnist("baseline", filters=(2, 2, 2), seed=22),
+                       (1, 32, 32)),
+    # Dropout, Dense and two-group LRN
+    "cifar-maxmin-boost": (lambda: models.build_cifar("maxmin", filters=(2, 2, 2), fc_hidden=6,
+                                                      boost=True, seed=23), (3, 32, 32)),
+}
+
+
+class TestSuffixReplay:
+    @pytest.mark.parametrize("preset", sorted(REPLAY_NETS))
+    @pytest.mark.parametrize("tolerance,step", [(1e-4, 1e-5), (1e-8, 1e-3)])
+    def test_matches_full_replay(self, preset, tolerance, step):
+        build, shape = REPLAY_NETS[preset]
+        r = np.random.default_rng(24)
+        x = r.random((2,) + shape)
+        y = r.integers(0, 10, 2)
+        kwargs = dict(tolerance=tolerance, step=step, samples_per_layer=12, seed=5)
+        report = grad_check(build(), x.copy(), y, **kwargs)
+        oracle = full_replay_oracle(build(), x.copy(), y, **kwargs)
+        assert str(report) == str(oracle)
+        assert report.checked == oracle.checked
+        assert report.skipped_nonsmooth == oracle.skipped_nonsmooth
+        assert report.worst == oracle.worst
+        if tolerance < 1e-4:
+            # the tight run exercises both branches of the kink rule
+            assert not report.passed and report.skipped_nonsmooth > 0
+
+    def test_wrong_gradient_in_a_middle_layer_fails(self):
+        net = tiny_net(seed=25)
+        convs = [i for i, layer in enumerate(net.layers) if isinstance(layer, L.Conv2D)]
+        conv2 = net.layers[convs[1]]
+        backward = conv2.backward
+
+        def sign_flipped(grad_out, **kwargs):
+            out = backward(grad_out, **kwargs)
+            conv2.w_grad *= -1.0
+            return out
+
+        conv2.backward = sign_flipped
+        r = np.random.default_rng(26)
+        report = grad_check(net, r.random((2, 1, 32, 32)), r.integers(0, 10, 2),
+                            samples_per_layer=20)
+        assert not report.passed
+        assert {(e.layer, e.name) for e in report.worst} == {(convs[1], "weights")}
+
+
+LAYER_INPUTS = [
+    ("conv-input-side", lambda: L.Conv2D(2, 3, 5, pad=2, rng=np.random.default_rng(0)),
+     (2, 2, 6, 6)),
+    ("conv-output-side", lambda: L.Conv2D(4, 2, 5, pad=2, rng=np.random.default_rng(0)),
+     (2, 4, 6, 6)),
+    ("maxmin", L.MaxMin, (2, 3, 5, 5)),
+    ("relu", L.ReLU, (2, 3, 5, 5)),
+    ("maxpool", lambda: L.MaxPool(3, 2), (2, 2, 7, 7)),
+    ("lrn", lambda: L.LRN(alpha=0.5), (2, 6, 4, 4)),
+    ("lrn-two-groups", lambda: L.LRN(alpha=0.5, groups=2), (2, 6, 4, 4)),
+    ("flatten", L.Flatten, (2, 3, 4, 4)),
+    ("dense", lambda: L.Dense(12, 7, rng=np.random.default_rng(1)), (4, 12)),
+    ("dropout", lambda: L.Dropout(0.4, rng=np.random.default_rng(2)), (3, 4, 4, 4)),
+]
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+@pytest.mark.parametrize("name,factory,shape", LAYER_INPUTS, ids=[c[0] for c in LAYER_INPUTS])
+def test_layers_leave_their_input_unchanged(name, factory, shape, train_mode):
+    """Suffix replay reuses recorded layer inputs, so no pass may write into one."""
+    r = np.random.default_rng(27)
+    x = r.standard_normal(shape)
+    before = x.tobytes()
+    layer = factory()
+    out = layer.forward(x, train=train_mode)
+    layer.backward(r.standard_normal(out.shape))
+    assert x.tobytes() == before
 
 
 class TestInitLoss:
