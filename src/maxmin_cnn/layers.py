@@ -2,9 +2,7 @@
 
 Every layer caches its forward input and exposes accumulated parameter
 gradients through ``params()``. A layer instance is single-threaded:
-forward and backward mutate the caches, never their inputs. A layer with
-parameters also takes ``backward(grad_out, input_grad=False)``, which
-accumulates its parameter gradients only and returns None.
+forward and backward mutate the caches, never their inputs.
 """
 import numpy as np
 
@@ -56,7 +54,9 @@ class Conv2D(Layer):
     input-gradient GEMM. Any other conv lowers its input: im2col and a
     GEMM forward, a GEMM and col2im backward. col2im accumulates on a
     channel-major canvas, so either way the output is an NCHW view of
-    channel-major memory.
+    channel-major memory. ``backward(grad_out, input_grad=False)``
+    accumulates the parameter gradients only, skips the input-gradient
+    GEMM, and returns None: nothing reads the input gradient of conv1.
     """
 
     def __init__(self, in_channels, filters, kernel_size, stride=1, pad=0,
@@ -338,11 +338,11 @@ class Dense(Layer):
         self._x = x
         return x @ self.weights.T + self.bias
 
-    def backward(self, grad_out, input_grad=True):
+    def backward(self, grad_out):
         self._require_forward(self._x)
         self.w_grad += grad_out.T @ self._x
         self.b_grad += grad_out.sum(axis=0)
-        return grad_out @ self.weights if input_grad else None
+        return grad_out @ self.weights
 
     def params(self):
         return [("weights", self.weights, self.w_grad), ("bias", self.bias, self.b_grad)]

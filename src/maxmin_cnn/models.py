@@ -56,15 +56,16 @@ class Network:
         """Backpropagate the last loss into every parameter gradient.
 
         Returns the gradient with respect to the network input. With
-        ``input_grad=False`` a first layer with parameters (conv1 of every
-        preset) skips forming it and None is returned.
+        ``input_grad=False`` the return value is unspecified: a first
+        Conv2D (conv1 of every preset) skips forming it.
         """
         g = self.loss_layer.backward()
-        for i, layer in reversed(list(enumerate(self.layers))):
-            if i == 0 and not input_grad and layer.params():
-                return layer.backward(g, input_grad=False)
+        for layer in reversed(self.layers[1:]):
             g = layer.backward(g)
-        return g
+        first = self.layers[0]
+        if isinstance(first, L.Conv2D):
+            return first.backward(g, input_grad=input_grad)
+        return first.backward(g)
 
     def zero_grads(self):
         for layer in self.layers:

@@ -180,16 +180,17 @@ def _rel_error(a, n):
     return abs(a - n) / max(abs(a), abs(n), 1e-5)
 
 
-def _check_entries(loss_fn, targets, tolerance, step, samples_per_layer, rng, signature_fn):
+def _check_entries(replay, targets, tolerance, step, samples_per_layer, rng):
     """Shared central-difference sweep.
 
-    Each target is (layer_idx, start, name, value, grad); ``loss_fn(start)``
-    and ``signature_fn(start)`` re-evaluate from layer ``start`` on, the
-    first layer a perturbation of that target can change.
+    Each target is (layer_idx, name, value, grad). ``replay(layer_idx)``
+    re-evaluates after an entry of that target is perturbed and returns
+    (loss, signature), so a caller may re-run only what the perturbation
+    can change.
 
     The loss of a ReLU/max-pool network is only piecewise smooth; a
     perturbation interval that crosses a kink makes the secant
-    meaningless. ``signature_fn`` captures the active linear piece
+    meaningless. The signature captures the active linear piece
     (ReLU masks, pooling argmax routes) after each evaluation, and an
     entry whose endpoints land on different pieces is excluded when it
     misses the tolerance: no derivative exists there to compare against.
@@ -198,18 +199,16 @@ def _check_entries(loss_fn, targets, tolerance, step, samples_per_layer, rng, si
     """
     entries = []
     skipped = 0
-    for layer_idx, start, name, p, g in targets:
+    for layer_idx, name, p, g in targets:
         count = min(samples_per_layer, p.size)
         picks = rng.choice(p.size, size=count, replace=False)
         flat = p.reshape(-1)
         for k in picks:
             orig = flat[k]
             flat[k] = orig + step
-            lp = loss_fn(start)
-            sig_p = signature_fn(start)
+            lp, sig_p = replay(layer_idx)
             flat[k] = orig - step
-            lm = loss_fn(start)
-            sig_m = signature_fn(start)
+            lm, sig_m = replay(layer_idx)
             flat[k] = orig
             numeric = (lp - lm) / (2.0 * step)
             analytic = g.reshape(-1)[k]
@@ -248,21 +247,19 @@ def grad_check(net, x, labels, tolerance=1e-4, step=1e-5, samples_per_layer=200,
         inputs.append(layer.forward(inputs[-1], train=False))
     net.loss_layer.forward(inputs.pop(), labels)
     dx = net.backward()
-    targets = [(i, i, name, p, g.copy()) for i, name, p, g in net.params()]
-    targets.append((-1, 0, "input", x, dx))
+    targets = [(i, name, p, g.copy()) for i, name, p, g in net.params()]
+    targets.append((-1, "input", x, dx))
 
-    def loss_fn(start):
+    def replay(layer_idx):
+        start = max(layer_idx, 0)  # the input (-1) replays every layer
+        suffix = net.layers[start:]
         h = inputs[start]
-        for layer in net.layers[start:]:
+        for layer in suffix:
             h = layer.forward(h, train=False)
         loss, _ = net.loss_layer.forward(h, labels)
-        return loss
+        return loss, b"".join(layer.kink_signature() for layer in suffix)
 
-    def signature_fn(start):
-        return b"".join(layer.kink_signature() for layer in net.layers[start:])
-
-    return _check_entries(loss_fn, targets, tolerance, step, samples_per_layer, rng,
-                          signature_fn)
+    return _check_entries(replay, targets, tolerance, step, samples_per_layer, rng)
 
 
 def grad_check_layer(layer, x, tolerance=1e-4, step=1e-5, samples_per_layer=200, seed=0):
@@ -277,11 +274,10 @@ def grad_check_layer(layer, x, tolerance=1e-4, step=1e-5, samples_per_layer=200,
     out = layer.forward(x, train=False)
     probe = rng.standard_normal(out.shape)
     dx = layer.backward(probe)
-    targets = [(0, 0, name, p, g.copy()) for name, p, g in layer.params()]
-    targets.append((0, 0, "input", x, dx))
+    targets = [(0, name, p, g.copy()) for name, p, g in layer.params()]
+    targets.append((0, "input", x, dx))
 
-    def loss_fn(_start):
-        return float((layer.forward(x, train=False) * probe).sum())
+    def replay(_layer_idx):
+        return float((layer.forward(x, train=False) * probe).sum()), layer.kink_signature()
 
-    return _check_entries(loss_fn, targets, tolerance, step, samples_per_layer, rng,
-                          lambda _start: layer.kink_signature())
+    return _check_entries(replay, targets, tolerance, step, samples_per_layer, rng)
