@@ -10,14 +10,10 @@ import sys
 
 import numpy as np
 
-import importlib
-
 from . import data as D
 from . import models
 from .errors import ConfigError, DataError, DivergenceError, MaxMinError
-
-# the package re-exports train() the function, so fetch the module explicitly
-T = importlib.import_module(".train", __package__)
+from .train import TrainConfig, evaluate, grad_check, train
 
 FETCH_HELP = """\
 Dataset files were not found. Place them under --data-dir (or $DATA_DIR):
@@ -30,13 +26,13 @@ Dataset files were not found. Place them under --data-dir (or $DATA_DIR):
     from https://www.cs.toronto.edu/~kriz/cifar-10-binary.tar.gz"""
 
 
-def _parse_filters(text, n=3):
+def _parse_filters(text):
     try:
         filters = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"--filters must be comma-separated integers, got {text!r}")
-    if len(filters) != n or any(f < 1 for f in filters):
-        raise ConfigError(f"--filters needs {n} positive counts, got {text!r}")
+    if len(filters) != 3 or any(f < 1 for f in filters):
+        raise ConfigError(f"--filters needs 3 positive counts, got {text!r}")
     return filters
 
 
@@ -66,11 +62,8 @@ def load_dataset(name, data_dir, train_subset=None, seed=0, val_fraction=0.1):
 
 
 def build_net(dataset, arch, filters=None, boost=False, seed=0, dtype=np.float64):
-    if dataset == "mnist":
-        if boost:
-            raise ConfigError("--boost applies to cifar10 only")
-        return models.build_mnist(arch, filters or (64, 64, 64), seed=seed, dtype=dtype)
-    return models.build_cifar(arch, filters or (32, 32, 64), boost=boost, seed=seed, dtype=dtype)
+    spec = models.preset_spec(dataset, arch, filters, boost)
+    return models.build_network(spec, seed=seed, dtype=dtype)
 
 
 def _print_config(args):
@@ -89,14 +82,14 @@ def cmd_train(args):
     if dtype is np.float32:
         for split in (train_split, val_split, test):
             split.images = split.images.astype(np.float32)
-    config = T.TrainConfig(
+    config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
         learning_rate=args.lr, momentum=args.momentum, weight_decay=args.weight_decay,
         patience=args.patience, lr_factor=args.lr_factor,
         augment=args.boost, hflip=args.dataset != "mnist", zca=args.boost,
         checkpoint_every=args.checkpoint_every, out_dir=args.out, eval_test=True,
     )
-    net, metrics = T.train(net, train_split, val_split, config, test_data=test)
+    net, metrics = train(net, train_split, val_split, config, test_data=test)
     if metrics:
         last = metrics[-1]
         print(f"final: val_acc={last.val_acc:.4f} test_acc={last.test_acc:.4f} "
@@ -107,13 +100,10 @@ def cmd_train(args):
 def cmd_eval(args):
     _print_config(args)
     filters = _parse_filters(args.filters) if args.filters else None
-    if args.dataset == "mnist":
-        spec = models.mnist_spec(args.arch, filters or (64, 64, 64))
-    else:
-        spec = models.cifar_spec(args.arch, filters or (32, 32, 64), boost=args.boost)
+    spec = models.preset_spec(args.dataset, args.arch, filters, args.boost)
     net = models.load_weights(args.weights, spec)
     _, _, test = load_dataset(args.dataset, args.data_dir, seed=args.seed)
-    acc = T.evaluate(net, test)
+    acc = evaluate(net, test)
     print(f"test_acc={acc:.6f} n={len(test)}")
     return 0
 
@@ -126,7 +116,7 @@ def cmd_gradcheck(args):
     shape = (2,) + net.spec.input_shape
     x = rng.random(shape)
     labels = rng.integers(0, net.spec.num_classes, size=2)
-    report = T.grad_check(net, x, labels, tolerance=args.tolerance,
+    report = grad_check(net, x, labels, tolerance=args.tolerance,
                           samples_per_layer=args.samples, seed=args.seed)
     print(report)
     return 0 if report.passed else 1
@@ -147,21 +137,21 @@ def cmd_params(args):
 def cmd_compare(args):
     _print_config(args)
     budgets = [tuple(int(v) for v in b.split("-")) for b in args.budgets.split(",")]
+    pairs = [(b, models.matched_maxmin_filters(b)) for b in budgets]
+    # train and evaluate leave the splits untouched, so every run shares one load
+    train_split, val_split, test = load_dataset(
+        "cifar10", args.data_dir, train_subset=args.subset, seed=args.seed)
+    config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
+                         learning_rate=args.lr, weight_decay=args.weight_decay)
     rows = []
-    for base_filters in budgets:
-        mm_filters = models.matched_maxmin_filters(models.cifar_spec, base_filters)
+    for base_filters, mm_filters in pairs:
         accs = {}
         counts = {}
         for arch, filters in (("baseline", base_filters), ("maxmin", mm_filters)):
-            net = models.build_cifar(arch, filters, seed=args.seed)
+            net = build_net("cifar10", arch, filters, seed=args.seed)
             counts[arch] = net.param_count()
-            train_split, val_split, test = load_dataset(
-                "cifar10", args.data_dir, train_subset=args.subset, seed=args.seed)
-            config = T.TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                                   seed=args.seed, learning_rate=args.lr,
-                                   weight_decay=args.weight_decay)
-            net, _ = T.train(net, train_split, val_split, config)
-            accs[arch] = T.evaluate(net, test)
+            net, _ = train(net, train_split, val_split, config)
+            accs[arch] = evaluate(net, test)
         rows.append((f"{'-'.join(map(str, base_filters))}",
                      f"{counts['baseline']}/{counts['maxmin']}",
                      f"{accs['baseline']:.4f}", f"{accs['maxmin']:.4f}"))
@@ -177,13 +167,16 @@ def cmd_compare(args):
     return 0
 
 
-def _add_common(p, dataset=True):
-    if dataset:
-        p.add_argument("--dataset", choices=("mnist", "cifar10"), required=True)
-    p.add_argument("--arch", choices=("baseline", "maxmin"), default="baseline")
-    p.add_argument("--filters", help="comma-separated conv filter counts, e.g. 32,32,64")
+def _add_run_args(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--data-dir", default=os.environ.get("DATA_DIR"))
+
+
+def _add_preset_args(p):
+    p.add_argument("--dataset", choices=tuple(models.PRESETS), required=True)
+    p.add_argument("--arch", choices=("baseline", "maxmin"), default="baseline")
+    p.add_argument("--filters", help="comma-separated conv filter counts, e.g. 32,32,64")
+    _add_run_args(p)
 
 
 def make_parser():
@@ -191,7 +184,7 @@ def make_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a preset and write checkpoints + metrics")
-    _add_common(p)
+    _add_preset_args(p)
     p.add_argument("--boost", action="store_true",
                    help="augmentation + ZCA + dropout + per-pool LRN (cifar10)")
     p.add_argument("--epochs", type=int, default=None)
@@ -208,25 +201,24 @@ def make_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate saved weights on the test split")
-    _add_common(p)
+    _add_preset_args(p)
     p.add_argument("--boost", action="store_true")
     p.add_argument("--weights", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of a preset's gradients")
-    _add_common(p)
+    _add_preset_args(p)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--samples", type=int, default=200)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("params", help="print per-layer and total parameter counts")
-    _add_common(p)
+    _add_preset_args(p)
     p.add_argument("--boost", action="store_true")
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("compare", help="train parameter-matched baseline/maxmin pairs")
-    _add_common(p, dataset=False)
-    p.add_argument("--dataset", choices=("cifar10",), default="cifar10")
+    _add_run_args(p)
     p.add_argument("--budgets", required=True,
                    help="comma-separated baseline filter triples, e.g. 8-8-16,32-32-64")
     p.add_argument("--epochs", type=int, default=10)

@@ -134,37 +134,34 @@ def build_network(spec, seed=0, dtype=np.float64):
     return Network(spec, objs, seed)
 
 
-def _lrn_desc(groups):
-    return dict(kind="lrn", groups=groups, **LRN_DEFAULTS)
+# dataset: (input shape, default conv filters, dense hidden width or None)
+PRESETS = {
+    "mnist": ((1, 32, 32), (64, 64, 64), None),
+    "cifar10": ((3, 32, 32), (32, 32, 64), 64),
+}
 
 
-def mnist_spec(kind="baseline", filters=(64, 64, 64)):
-    """LeNet-style net: three conv->relu->pool->lrn blocks, one dense head.
+def preset_spec(dataset, arch="baseline", filters=None, boost=False):
+    """Three conv->relu->pool blocks and a dense head for one dataset.
 
-    Inputs are 1x32x32 (28x28 digits zero-padded by 2). The maxmin
-    variant inserts a MaxMin layer between each conv and its ReLU and
-    widens every following layer to accept the doubled depth; LRN runs
-    per half so the original and negated maps normalize independently.
+    MNIST (1x32x32, digits zero-padded by 2) has LRN after every pool and
+    one dense layer. CIFAR-10 (3x32x32) has two dense layers; ``boost``
+    adds LRN after each pool and dropout(0.5) before each dense layer.
+    The maxmin arch inserts a MaxMin layer between each conv and its ReLU
+    and widens every following layer to the doubled depth; LRN runs per
+    half so the original and negated maps normalize independently.
     """
-    return _conv_net_spec((1, 32, 32), kind, filters, fc_hidden=None)
-
-
-def cifar_spec(kind="baseline", filters=(32, 32, 64), fc_hidden=64, boost=False):
-    """Three conv blocks on 3x32x32 inputs with two dense layers.
-
-    The plain variant has no LRN; ``boost`` appends LRN after each pool
-    and dropout(0.5) before each dense layer.
-    """
-    return _conv_net_spec((3, 32, 32), kind, filters, fc_hidden=fc_hidden,
-                          lrn="boost" if boost else "none", dropout=0.5 if boost else None)
-
-
-def _conv_net_spec(input_shape, kind, filters, fc_hidden, lrn="always", dropout=None):
-    if kind not in ("baseline", "maxmin"):
-        raise ConfigError(f"unknown architecture kind {kind!r}")
+    if dataset not in PRESETS or arch not in ("baseline", "maxmin"):
+        raise ConfigError(f"unknown preset {dataset!r}/{arch!r}")
+    if boost and dataset == "mnist":
+        raise ConfigError("boost applies to cifar10 only")
+    input_shape, default_filters, fc_hidden = PRESETS[dataset]
+    filters = default_filters if filters is None else filters
     if any(f < 1 for f in filters):
         raise ConfigError(f"filter counts must be positive, got {filters}")
-    maxmin = kind == "maxmin"
+    maxmin = arch == "maxmin"
+    lrn = boost or dataset == "mnist"
+    dropout = 0.5 if boost else None
     descs = []
     c = input_shape[0]
     for f in filters:
@@ -173,11 +170,11 @@ def _conv_net_spec(input_shape, kind, filters, fc_hidden, lrn="always", dropout=
             descs.append(dict(kind="maxmin"))
         descs.append(dict(kind="relu"))
         descs.append(dict(kind="pool", window=3, stride=2))
-        if lrn in ("always", "boost"):
-            descs.append(_lrn_desc(groups=2 if maxmin else 1))
+        if lrn:
+            descs.append(dict(kind="lrn", groups=2 if maxmin else 1, **LRN_DEFAULTS))
         c = 2 * f if maxmin else f
     descs.append(dict(kind="flatten"))
-    spec = NetworkSpec(input_shape=tuple(input_shape), num_classes=10, layers=descs)
+    spec = NetworkSpec(input_shape=input_shape, num_classes=10, layers=descs)
     flat = _spatial_after(spec)
     if fc_hidden is not None:
         if dropout:
@@ -191,36 +188,37 @@ def _conv_net_spec(input_shape, kind, filters, fc_hidden, lrn="always", dropout=
     return spec
 
 
-def build_mnist(kind="baseline", filters=(64, 64, 64), seed=0, dtype=np.float64):
-    return build_network(mnist_spec(kind, filters), seed=seed, dtype=dtype)
+def build_mnist(kind="baseline", filters=None, seed=0, dtype=np.float64):
+    return build_network(preset_spec("mnist", kind, filters), seed=seed, dtype=dtype)
 
 
-def build_cifar(kind="baseline", filters=(32, 32, 64), fc_hidden=64, boost=False,
-                seed=0, dtype=np.float64):
-    return build_network(cifar_spec(kind, filters, fc_hidden, boost), seed=seed, dtype=dtype)
+def build_cifar(kind="baseline", filters=None, boost=False, seed=0, dtype=np.float64):
+    return build_network(preset_spec("cifar10", kind, filters, boost), seed=seed, dtype=dtype)
 
 
-def matched_maxmin_filters(spec_fn, base_filters, tolerance=0.15, **spec_kwargs):
-    """Pick maxmin conv filter counts whose parameter total tracks the baseline.
+MATCH_TOLERANCE = 0.15
+
+
+def matched_maxmin_filters(base_filters):
+    """Pick maxmin conv filter counts whose CIFAR-10 parameter total tracks the baseline.
 
     Keeps the dense-layer neuron counts fixed and scales only the conv
     filter counts (seeded at half the baseline's), choosing the scale
     whose total parameter count is closest to the baseline's. Raises if
-    no scale lands within ``tolerance`` relative difference.
+    no scale lands within ``MATCH_TOLERANCE`` relative difference.
     """
-    target = build_network(spec_fn("baseline", tuple(base_filters), **spec_kwargs)).param_count()
-    best = None
-    for scale_pct in range(40, 101):
-        cand = tuple(max(1, round(f * scale_pct / 100)) for f in base_filters)
-        count = build_network(spec_fn("maxmin", cand, **spec_kwargs)).param_count()
-        rel = abs(count - target) / target
-        if best is None or rel < best[0]:
-            best = (rel, cand, count)
-    if best[0] > tolerance:
+    def count(arch, filters):
+        return build_network(preset_spec("cifar10", arch, filters)).param_count()
+
+    target = count("baseline", base_filters)
+    scaled = (tuple(max(1, round(f * pct / 100)) for f in base_filters) for pct in range(40, 101))
+    # candidates grow with the scale, so a tie goes to the smaller one
+    rel, best = min((abs(count("maxmin", c) - target) / target, c) for c in scaled)
+    if rel > MATCH_TOLERANCE:
         raise ConfigError(
-            f"no maxmin filter scaling matches {base_filters} within {tolerance:.0%}"
+            f"no maxmin filter scaling matches {base_filters} within {MATCH_TOLERANCE:.0%}"
         )
-    return best[1]
+    return best
 
 
 # -- reduction pairing ------------------------------------------------------

@@ -1,4 +1,8 @@
+import os
+import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +28,16 @@ def mnist_dir(tmp_path):
 
     write("train-images-idx3-ubyte", "train-labels-idx1-ubyte", 40)
     write("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte", 10)
+    return tmp_path
+
+
+@pytest.fixture
+def cifar_dir(tmp_path):
+    """Eight synthetic CIFAR-10 records per binary batch."""
+    for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+        records = rng.integers(0, 256, (8, D.CIFAR_RECORD_BYTES), dtype=np.uint8)
+        records[:, 0] = rng.integers(0, 10, 8)
+        (tmp_path / name).write_bytes(records.tobytes())
     return tmp_path
 
 
@@ -58,8 +72,18 @@ class TestValidation:
         code = cli.main(["train", "--dataset", "mnist", "--arch", "baseline",
                          "--epochs", "1", "--data-dir", str(tmp_path)])
         assert code == 3
-        assert "fetch" in capsys.readouterr().err.lower() or True
         err = capsys.readouterr().err
+        assert f"missing MNIST files in {tmp_path}" in err
+        assert "train-images-idx3-ubyte" in err
+
+    @pytest.mark.parametrize("command,extra", [
+        ("train", []), ("params", []), ("eval", ["--weights", "best.bin"]),
+    ], ids=["train", "params", "eval"])
+    def test_mnist_boost_exit_2(self, command, extra, tmp_path, capsys):
+        code = cli.main([command, "--dataset", "mnist", "--boost",
+                         "--data-dir", str(tmp_path)] + extra)
+        assert code == 2
+        assert "boost applies to cifar10 only" in capsys.readouterr().err
 
     def test_wrong_image_size_exit_3(self, mnist_dir, capsys):
         """40x40 digits used to reach np.pad with a negative width (exit 2)."""
@@ -139,3 +163,31 @@ class TestTrainEvalRoundTrip:
         assert cli.main(args) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    def test_compare_loads_data_once(self, cifar_dir, monkeypatch):
+        calls = []
+        load = cli.load_dataset
+
+        def counting_load(*args, **kwargs):
+            calls.append(args[0])
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", counting_load)
+        assert cli.main(["compare", "--budgets", "2-2-4,3-3-6", "--epochs", "1",
+                         "--batch-size", "8", "--data-dir", str(cifar_dir)]) == 0
+        assert calls == ["cifar10"]
+
+
+SCRIPTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize("script", ["boosted_cifar10.py", "full_cifar10.py", "full_mnist.py"])
+def test_script_flags_parse(script, tmp_path):
+    """A script run on an empty data directory fails on the data (3), not on its flags (2)."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, DATA_DIR=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, str(SCRIPTS_DIR / script)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 3, result.stderr
+    assert "data error: missing" in result.stderr

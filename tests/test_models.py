@@ -15,7 +15,7 @@ class TestPresets:
         assert logits.shape == (1, 10)
 
     def test_mnist_maxmin_doubles_depth(self):
-        spec = models.mnist_spec("maxmin", filters=(64, 64, 64))
+        spec = models.preset_spec("mnist", "maxmin")
         net = models.build_network(spec, seed=1)
         x = rng.random((1, 1, 32, 32))
         # run conv1 + maxmin and observe the doubled channel count
@@ -28,16 +28,38 @@ class TestPresets:
         assert logits.shape == (2, 10)
 
     def test_cifar_boost_has_lrn_and_dropout(self):
-        kinds = [d["kind"] for d in models.cifar_spec("maxmin", boost=True).layers]
+        kinds = [d["kind"] for d in models.preset_spec("cifar10", "maxmin", boost=True).layers]
         assert kinds.count("lrn") == 3
         assert kinds.count("dropout") == 2
-        assert "lrn" not in [d["kind"] for d in models.cifar_spec("maxmin").layers]
+        assert "lrn" not in [d["kind"] for d in models.preset_spec("cifar10", "maxmin").layers]
+
+    @pytest.mark.parametrize("dataset,arch,boost,message", [
+        ("svhn", "baseline", False, "unknown preset"),
+        ("mnist", "minmax", False, "unknown preset"),
+        ("mnist", "maxmin", True, "boost applies to cifar10 only"),
+    ])
+    def test_bad_preset_rejected(self, dataset, arch, boost, message):
+        with pytest.raises(ConfigError, match=message):
+            models.preset_spec(dataset, arch, boost=boost)
+
+    @pytest.mark.parametrize("dataset,arch,boost,digest", [
+        ("mnist", "baseline", False, "b56e7bac91e79526"),
+        ("mnist", "maxmin", False, "be2959f30e1c3072"),
+        ("cifar10", "baseline", False, "545cf52068a30863"),
+        ("cifar10", "baseline", True, "2cfe7acc9001fa06"),
+        ("cifar10", "maxmin", False, "54292aa8a489ccf3"),
+        ("cifar10", "maxmin", True, "a2ec79a4b4be3948"),
+    ])
+    def test_spec_hash_is_pinned(self, dataset, arch, boost, digest):
+        """Weight files carry this hash: a changed descriptor orphans every saved file."""
+        assert models.preset_spec(dataset, arch, boost=boost).spec_hash().hex() == digest
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("spec", [
-        models.mnist_spec("baseline"), models.mnist_spec("maxmin"),
-        models.cifar_spec("baseline"), models.cifar_spec("maxmin"),
-        models.cifar_spec("baseline", boost=True), models.cifar_spec("maxmin", boost=True),
+        models.preset_spec("mnist", "baseline"), models.preset_spec("mnist", "maxmin"),
+        models.preset_spec("cifar10", "baseline"), models.preset_spec("cifar10", "maxmin"),
+        models.preset_spec("cifar10", "baseline", boost=True),
+        models.preset_spec("cifar10", "maxmin", boost=True),
     ], ids=["mnist-baseline", "mnist-maxmin", "cifar-baseline", "cifar-maxmin",
             "cifar-baseline-boost", "cifar-maxmin-boost"])
     def test_every_layer_keeps_net_dtype(self, spec, dtype):
@@ -111,7 +133,7 @@ class TestParamCount:
         assert models.build_network(spec).param_count() == 0
 
     def test_closed_form_totals(self):
-        net = models.build_cifar("baseline", filters=(32, 32, 64), fc_hidden=64)
+        net = models.build_network(models.preset_spec("cifar10", "baseline", (32, 32, 64)))
         expect = (32 * (25 * 3 + 1) + 32 * (25 * 32 + 1) + 64 * (25 * 32 + 1)
                   + 64 * (64 * 4 * 4) + 64 + 10 * 64 + 10)
         assert net.param_count() == expect
@@ -125,7 +147,7 @@ class TestParamCount:
 
     def test_matched_filters_within_15_percent(self):
         base_filters = (32, 32, 64)
-        mm_filters = models.matched_maxmin_filters(models.cifar_spec, base_filters)
+        mm_filters = models.matched_maxmin_filters(base_filters)
         base = models.build_cifar("baseline", base_filters).param_count()
         mm = models.build_cifar("maxmin", mm_filters).param_count()
         assert abs(mm - base) / base <= 0.15
@@ -192,7 +214,7 @@ class TestWeightFiles:
         net = models.build_mnist("baseline", filters=(4, 4, 4), seed=7)
         path = tmp_path / "w.bin"
         models.save_weights(net, path)
-        other = models.mnist_spec("maxmin", filters=(4, 4, 4))
+        other = models.preset_spec("mnist", "maxmin", (4, 4, 4))
         with pytest.raises(WeightFileError, match="different architecture"):
             models.load_weights(path, other)
 
@@ -209,4 +231,4 @@ class TestWeightFiles:
         path = tmp_path / "w.bin"
         path.write_bytes(b"NOTAFILE" + b"\x00" * 64)
         with pytest.raises(WeightFileError, match="magic"):
-            models.load_weights(path, models.mnist_spec("baseline", (4, 4, 4)))
+            models.load_weights(path, models.preset_spec("mnist", "baseline", (4, 4, 4)))

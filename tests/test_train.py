@@ -193,8 +193,8 @@ REPLAY_NETS = {
     "mnist-baseline": (lambda: models.build_mnist("baseline", filters=(2, 2, 2), seed=22),
                        (1, 32, 32)),
     # Dropout, Dense and two-group LRN
-    "cifar-maxmin-boost": (lambda: models.build_cifar("maxmin", filters=(2, 2, 2), fc_hidden=6,
-                                                      boost=True, seed=23), (3, 32, 32)),
+    "cifar-maxmin-boost": (lambda: models.build_network(
+        models.preset_spec("cifar10", "maxmin", (2, 2, 2), boost=True), seed=23), (3, 32, 32)),
 }
 
 
