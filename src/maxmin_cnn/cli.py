@@ -26,17 +26,17 @@ Dataset files were not found. Place them under --data-dir (or $DATA_DIR):
     from https://www.cs.toronto.edu/~kriz/cifar-10-binary.tar.gz"""
 
 
-def _parse_filters(text):
+def _parse_filters(text, sep=",", flag="--filters"):
     try:
-        filters = tuple(int(v) for v in text.split(","))
+        filters = tuple(int(v) for v in text.split(sep))
     except ValueError:
-        raise ConfigError(f"--filters must be comma-separated integers, got {text!r}")
+        raise ConfigError(f"{flag} must be integers separated by {sep!r}, got {text!r}")
     if len(filters) != 3 or any(f < 1 for f in filters):
-        raise ConfigError(f"--filters needs 3 positive counts, got {text!r}")
+        raise ConfigError(f"{flag} needs 3 positive counts, got {text!r}")
     return filters
 
 
-def load_dataset(name, data_dir, train_subset=None, seed=0, val_fraction=0.1):
+def load_dataset(name, data_dir, train_subset=None, seed=0):
     """Returns (train, val, test) splits for mnist or cifar10."""
     if not data_dir:
         raise DataError("no data directory given (use --data-dir or $DATA_DIR)\n" + FETCH_HELP)
@@ -57,7 +57,7 @@ def load_dataset(name, data_dir, train_subset=None, seed=0, val_fraction=0.1):
         test = D.load_cifar10([test_path])
     if train_subset:
         full = full.subset(np.arange(min(train_subset, len(full))))
-    train_split, val_split = D.split_train_val(full, val_fraction, seed)
+    train_split, val_split = D.split_train_val(full, 0.1, seed)
     return train_split, val_split, test
 
 
@@ -136,7 +136,7 @@ def cmd_params(args):
 
 def cmd_compare(args):
     _print_config(args)
-    budgets = [tuple(int(v) for v in b.split("-")) for b in args.budgets.split(",")]
+    budgets = [_parse_filters(b, "-", "--budgets") for b in args.budgets.split(",")]
     pairs = [(b, models.matched_maxmin_filters(b)) for b in budgets]
     # train and evaluate leave the splits untouched, so every run shares one load
     train_split, val_split, test = load_dataset(

@@ -7,7 +7,7 @@ forward and backward mutate the caches, never their inputs.
 import numpy as np
 
 from .errors import ConfigError, LayerStateError, ShapeError
-from .tensor import col2im, concat_channels, conv_out_size, im2col, pool_out_size
+from .tensor import col2im, conv_out_size, im2col, pool_out_size
 
 
 class Layer:
@@ -138,12 +138,12 @@ class MaxMin(Layer):
 
     def forward(self, x, train=False):
         self._channels = x.shape[1]
-        return concat_channels(x, -x)
+        return np.concatenate((x, -x), axis=1)
 
     def backward(self, grad_out):
         self._require_forward(self._channels)
         c2 = grad_out.shape[1]
-        if c2 % 2 != 0 or c2 != 2 * self._channels:
+        if c2 != 2 * self._channels:
             raise ShapeError(
                 f"MaxMin backward: expected {2 * self._channels} channels, got {c2}"
             )

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 
 from . import layers as L
-from .errors import ConfigError, ShapeError, WeightFileError
+from .errors import ConfigError, WeightFileError
 from .tensor import conv_out_size, pool_out_size
 
 LRN_DEFAULTS = dict(depth_radius=2, k=1.0, alpha=1e-4, beta=0.75)
@@ -99,8 +99,6 @@ def _spatial_after(spec):
             c *= 2
         elif kind == "pool":
             h, w = (pool_out_size(s, d["window"], d["stride"]) for s in (h, w))
-        elif kind == "flatten":
-            return c * h * w
     return c * h * w
 
 
@@ -226,23 +224,17 @@ def matched_maxmin_filters(base_filters):
 def baseline_of(spec):
     """Baseline spec reachable from a maxmin spec by dropping the doubling."""
     descs = []
-    c_prev = None
     consumers = _doubled_consumers(spec)
     for i, d in enumerate(spec.layers):
         d = dict(d)
         if d["kind"] == "maxmin":
             continue
-        if d["kind"] == "conv":
-            if c_prev is not None:
-                d["in"] = c_prev
-            c_prev = d["filters"]
-        elif d["kind"] == "dense":
-            d["in"] = d["in"] // 2 if i in consumers else d["in"]
+        if i in consumers:
+            d["in"] //= 2
         elif d["kind"] == "lrn":
             d["groups"] = 1
         descs.append(d)
-    out = NetworkSpec(input_shape=spec.input_shape, num_classes=spec.num_classes, layers=descs)
-    return out
+    return NetworkSpec(input_shape=spec.input_shape, num_classes=spec.num_classes, layers=descs)
 
 
 def _doubled_consumers(spec):
@@ -259,7 +251,7 @@ def _doubled_consumers(spec):
     return consumers
 
 
-def reduce_to_baseline(maxmin_net, dtype=np.float64):
+def reduce_to_baseline(maxmin_net):
     """Realize the zero-extra-weights reduction of a maxmin network.
 
     Returns (reduced, baseline): ``reduced`` is a copy of the maxmin net
@@ -268,23 +260,19 @@ def reduce_to_baseline(maxmin_net, dtype=np.float64):
     compute identical logits on every input.
     """
     spec = maxmin_net.spec
-    reduced = build_network(spec, seed=maxmin_net.seed, dtype=dtype)
-    for (_, _, dst, _), (_, _, src, _) in zip(reduced.params(), maxmin_net.params()):
-        dst[...] = src
-    base = build_network(baseline_of(spec), seed=maxmin_net.seed, dtype=dtype)
-
+    reduced = build_network(spec, seed=maxmin_net.seed)
+    base = build_network(baseline_of(spec), seed=maxmin_net.seed)
     consumers = _doubled_consumers(spec)
-    red_layers = [(i, l) for i, l in enumerate(reduced.layers)
-                  if isinstance(l, (L.Conv2D, L.Dense))]
-    base_layers = [l for l in base.layers if isinstance(l, (L.Conv2D, L.Dense))]
-    for (i, rl), bl in zip(red_layers, base_layers):
-        half = bl.weights.shape[1]
-        if i in consumers:
-            rl.weights[:, half:] = 0.0
-            bl.weights[...] = rl.weights[:, :half]
+    # only conv and dense own parameters: all three nets list them in one order
+    for (i, name, red, _), (_, _, src, _), (_, _, bp, _) in zip(
+            reduced.params(), maxmin_net.params(), base.params()):
+        red[...] = src
+        if name == "weights" and i in consumers:
+            half = bp.shape[1]
+            red[:, half:] = 0.0
+            bp[...] = red[:, :half]
         else:
-            bl.weights[...] = rl.weights
-        bl.bias[...] = rl.bias
+            bp[...] = red
     return reduced, base
 
 

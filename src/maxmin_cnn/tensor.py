@@ -10,15 +10,6 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 
 
-def concat_channels(a, b):
-    """Stack b's channels after a's. Both must agree on N, H, W."""
-    if a.ndim != 4 or b.ndim != 4:
-        raise ShapeError(f"concat_channels expects 4-D tensors, got {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ShapeError(f"concat_channels: incompatible shapes {a.shape} and {b.shape}")
-    return np.concatenate([a, b], axis=1)
-
-
 def conv_out_size(size, k, stride, pad):
     """Output extent of a convolution along one spatial axis."""
     if k < 1 or stride < 1 or pad < 0:

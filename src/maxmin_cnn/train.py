@@ -26,9 +26,7 @@ class TrainConfig:
     lr_factor: float = 0.1
     augment: bool = False
     hflip: bool = True
-    max_translate: int = 4
     zca: bool = False
-    zca_epsilon: float = 0.1
     checkpoint_every: int = 0
     out_dir: str = None
     eval_test: bool = False
@@ -55,7 +53,7 @@ class EpochMetrics:
                 f"{self.val_acc:.6f},{test},{self.lr:.8g},{self.seconds:.3f}")
 
 
-def evaluate(net, data, batch_size=256):
+def evaluate(net, data, batch_size=64):
     """Top-1 accuracy; argmax ties break toward the lowest class index."""
     correct = 0
     for start in range(0, len(data), batch_size):
@@ -79,7 +77,7 @@ def train(net, train_data, val_data, config, test_data=None):
                              factor=config.lr_factor)
     zca = None
     if config.zca:
-        zca = zca_fit(train_data.images, epsilon=config.zca_epsilon)
+        zca = zca_fit(train_data.images)
         train_data = dataclasses.replace(train_data, images=zca_apply(zca, train_data.images))
         val_data = dataclasses.replace(val_data, images=zca_apply(zca, val_data.images))
         if test_data is not None:
@@ -98,7 +96,7 @@ def train(net, train_data, val_data, config, test_data=None):
             x = train_data.images[idx]
             y = train_data.labels[idx]
             if config.augment:
-                x = augment(x, rng, max_translate=config.max_translate, hflip=config.hflip)
+                x = augment(x, rng, hflip=config.hflip)
             net.zero_grads()
             loss, probs = net.loss(x, y, train=True)
             if not np.isfinite(loss):
@@ -126,11 +124,10 @@ def train(net, train_data, val_data, config, test_data=None):
     return net, metrics
 
 
-def write_metrics(path, config, metrics, net=None):
+def write_metrics(path, config, metrics, net):
     """CSV with a leading '# config: {json}' provenance line."""
     provenance = dataclasses.asdict(config)
-    if net is not None:
-        provenance["param_count"] = net.param_count()
+    provenance["param_count"] = net.param_count()
     with open(path, "w") as fh:
         fh.write(f"# config: {json.dumps(provenance, sort_keys=True)}\n")
         fh.write(METRICS_HEADER + "\n")

@@ -166,6 +166,15 @@ class TestReduction:
             diff = np.abs(reduced.forward(x) - baseline.forward(x)).max()
             assert diff <= 1e-12
 
+    @pytest.mark.parametrize("filters", [None, (3, 4, 5)], ids=["default", "3-4-5"])
+    @pytest.mark.parametrize("dataset,boost", [
+        ("mnist", False), ("cifar10", False), ("cifar10", True),
+    ], ids=["mnist", "cifar10", "cifar10-boost"])
+    def test_baseline_of_maxmin_preset_is_baseline_preset(self, dataset, boost, filters):
+        reduced = models.baseline_of(models.preset_spec(dataset, "maxmin", filters, boost))
+        base = models.preset_spec(dataset, "baseline", filters, boost)
+        assert reduced.spec_hash() == base.spec_hash()
+
     def test_identical_dense_descriptors_keep_their_own_input(self):
         """Only the dense layer right after the doubling halves its input."""
         k = 4  # conv: 1 filter on 2x2, doubled to 2k = 8 features

@@ -3,48 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from maxmin_cnn.errors import ConfigError, ShapeError
-from maxmin_cnn.tensor import col2im, concat_channels, conv_out_size, im2col
+from maxmin_cnn.errors import ConfigError
+from maxmin_cnn.tensor import col2im, conv_out_size, im2col
 
 rng = np.random.default_rng(42)
-
-
-class TestConcatChannels:
-    def test_definition(self):
-        a = np.array([[1.0, 2.0]]).reshape(1, 1, 1, 2)
-        b = np.array([[3.0, 4.0]]).reshape(1, 1, 1, 2)
-        out = concat_channels(a, b)
-        assert out.shape == (1, 2, 1, 2)
-        np.testing.assert_array_equal(out[0, 0], [[1.0, 2.0]])
-        np.testing.assert_array_equal(out[0, 1], [[3.0, 4.0]])
-
-    def test_empty_second_operand(self):
-        x = rng.random((2, 3, 4, 4))
-        out = concat_channels(x, np.empty((2, 0, 4, 4)))
-        np.testing.assert_array_equal(out, x)
-
-    def test_index_oracle(self):
-        a = rng.random((2, 3, 4, 4))
-        b = rng.random((2, 5, 4, 4))
-        out = concat_channels(a, b)
-        assert out.shape == (2, 8, 4, 4)
-        for n in range(2):
-            for c in range(8):
-                for i in range(4):
-                    for j in range(4):
-                        src = a[n, c, i, j] if c < 3 else b[n, c - 3, i, j]
-                        assert out[n, c, i, j] == src
-
-    def test_slicing_recovers_inputs(self):
-        a = rng.random((1, 2, 3, 3))
-        b = rng.random((1, 4, 3, 3))
-        out = concat_channels(a, b)
-        np.testing.assert_array_equal(out[:, :2], a)
-        np.testing.assert_array_equal(out[:, 2:], b)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(1, 1, 2, 2\).*\(1, 1, 3, 3\)"):
-            concat_channels(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 3, 3)))
 
 
 class TestIm2col:

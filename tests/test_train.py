@@ -1,6 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
+import maxmin_cnn
 from maxmin_cnn import layers as L
 from maxmin_cnn import models
 from maxmin_cnn.data import LabeledImages
@@ -154,6 +157,18 @@ class TestEvaluate:
         expected = float((data.labels == 0).mean())
         assert evaluate(Constant(), data) == expected
 
+    def test_forwards_at_most_the_training_batch(self):
+        sizes = []
+
+        class Spy:
+            def forward(self, x, train=False):
+                sizes.append(len(x))
+                return np.zeros((len(x), 10))
+
+        evaluate(Spy(), synthetic_data(200, seed=13))
+        assert sum(sizes) == 200
+        assert max(sizes) <= 64
+
     def test_random_net_near_chance(self):
         net = tiny_net(seed=12)
         data = synthetic_data(400, seed=12)
@@ -276,3 +291,9 @@ class TestInitLoss:
         y = np.random.default_rng(15).integers(0, 10, 16)
         loss, _ = net.loss(x, y)
         assert abs(loss - np.log(10)) / np.log(10) < 0.05
+
+
+def test_package_train_attribute_is_the_module():
+    """The package exports the module, so ``maxmin_cnn.train.train`` is the loop."""
+    assert isinstance(maxmin_cnn.train, types.ModuleType)
+    assert maxmin_cnn.train.train is train
