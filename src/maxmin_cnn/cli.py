@@ -58,6 +58,10 @@ def load_dataset(name, data_dir, train_subset=None, seed=0):
     if train_subset:
         full = full.subset(np.arange(min(train_subset, len(full))))
     train_split, val_split = D.split_train_val(full, 0.1, seed)
+    for split, role in ((train_split, "training"), (val_split, "validation")):
+        if not len(split):
+            raise ConfigError(f"{len(full)} training images leave the {role} split empty: "
+                              "10% of them, rounded, is held out for validation")
     return train_split, val_split, test
 
 

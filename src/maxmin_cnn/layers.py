@@ -7,7 +7,7 @@ forward and backward mutate the caches, never their inputs.
 import numpy as np
 
 from .errors import ConfigError, LayerStateError, ShapeError
-from .tensor import col2im, conv_out_size, im2col, pool_out_size
+from .tensor import col2im, conv_dft, conv_out_size, im2col, pool_out_size
 
 
 class Layer:
@@ -42,21 +42,19 @@ class Layer:
 
 
 class Conv2D(Layer):
-    """2-D cross-correlation (no kernel flip) lowered to GEMMs on its narrower side.
+    """2-D cross-correlation (no kernel flip) lowered to GEMMs.
 
-    A conv that narrows its channels (filters < in_channels) at stride 1
-    with pad <= kernel - 1, like conv2 and conv3 of the MaxMin presets
-    (2F -> F), is lowered on the output side. The forward multiplies the
-    flipped weights, one row per (filter, tap), (F*kh*kw x C) by the
-    channel-major input (C x N*H*W), and col2im scatters the product
-    onto the F output channels with pad kernel - 1 - pad. The backward
-    takes one im2col of grad_out, which feeds both the weight- and the
-    input-gradient GEMM. Any other conv lowers its input: im2col and a
-    GEMM forward, a GEMM and col2im backward. col2im accumulates on a
-    channel-major canvas, so either way the output is an NCHW view of
-    channel-major memory. ``backward(grad_out, input_grad=False)``
-    accumulates the parameter gradients only, skips the input-gradient
-    GEMM, and returns None: nothing reads the input gradient of conv1.
+    Each forward picks its lowering from its shapes (see ``lowering``).
+    A conv that takes the DFT transforms its input and weights with the
+    cached real DFT matrices of ``tensor.conv_dft`` (one GEMM each),
+    multiplies X (n x c) by conj(W)' (c x f) at each frequency, and
+    transforms the product back at the output positions. Its backward
+    reuses both spectra: dW = G^H X, back at the kernel taps, and
+    dX = G W, back at the input positions. Every other conv lowers its
+    input: im2col and a GEMM forward, a GEMM and col2im backward.
+    ``backward(grad_out, input_grad=False)`` accumulates the parameter
+    gradients only, skips the input-gradient pass, and returns None:
+    nothing reads the input gradient of conv1.
     """
 
     def __init__(self, in_channels, filters, kernel_size, stride=1, pad=0,
@@ -71,15 +69,38 @@ class Conv2D(Layer):
         self.bias = np.zeros(filters, dtype=dtype)
         self.w_grad = np.zeros_like(self.weights)
         self.b_grad = np.zeros_like(self.bias)
-        self.output_side = (filters < in_channels and stride == 1
-                            and pad <= kernel_size - 1)
-        self._lowered = None  # output side: x as C x N*H*W; input side: im2col(x)
+        self._lowered = None  # im2col(x), or the spectra (X, W) of a DFT forward
         self._x_shape = None
 
-    def _taps(self):
-        """Flipped weights, rows (f, tap) and columns c: the output side's GEMM operand."""
-        f, c = self.weights.shape[:2]
-        return self.weights[:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, c)
+    def lowering(self, x_shape):
+        """"dft" or "im2col": the lowering that a forward of an ``x_shape`` input takes.
+
+        The DFT runs at the padded input's size P x Q, whose half spectrum
+        holds F2 = 2*P*(Q//2 + 1) real values per map. A stride-1 conv of
+        c channels into f filters of k x k at batch n takes it when both
+        of these hold; anything else takes im2col.
+
+        - F2*(c + f) < k*k*c*f: per output position, transforming the c
+          input and the f output maps (F2 multiply-adds per map) costs
+          less than the spatial product.
+        - 2*n > k*k: the weight transform, F2*k*k multiply-adds per
+          (filter, channel) pair, costs less than that pair's
+          per-frequency products over the batch, 2*F2*n.
+
+        The per-frequency products, 2*F2*c*f multiply-adds per image,
+        are not weighed against the spatial product, so a conv near the
+        boundary takes the DFT at little saving: conv2 of the CIFAR
+        maxmin preset (64 -> 32 on 16x16) does 99% of the spatial
+        multiply-adds at batch 64. In the presets conv1 always takes
+        im2col, every conv takes it at the gradient check's batch of 2,
+        and conv2 and conv3 take the DFT from batch 13 on.
+        """
+        n, _, h, w = x_shape
+        f, c, k, _ = self.weights.shape
+        spectrum = 2 * (h + 2 * self.pad) * ((w + 2 * self.pad) // 2 + 1)
+        if self.stride == 1 and spectrum * (c + f) < k * k * c * f and 2 * n > k * k:
+            return "dft"
+        return "im2col"
 
     def forward(self, x, train=False):
         f, c, kh, kw = self.weights.shape
@@ -89,12 +110,8 @@ class Conv2D(Layer):
         ho = conv_out_size(x.shape[2], kh, self.stride, self.pad)
         wo = conv_out_size(x.shape[3], kw, self.stride, self.pad)
         self._x_shape = x.shape
-        if self.output_side:
-            self._lowered = x.transpose(1, 0, 2, 3).reshape(c, -1)
-            out = col2im(self._taps() @ self._lowered, (n, f, ho, wo), kh, kw, 1,
-                         kh - 1 - self.pad)
-            out += self.bias[:, None, None]
-            return out
+        if self.lowering(x.shape) == "dft":
+            return self._dft_forward(x, ho, wo)
         self._lowered = im2col(x, kh, kw, self.stride, self.pad)
         out = self.weights.reshape(f, -1) @ self._lowered + self.bias[:, None]
         return out.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
@@ -102,24 +119,66 @@ class Conv2D(Layer):
     def backward(self, grad_out, input_grad=True):
         self._require_forward(self._lowered)
         f, c, kh, kw = self.weights.shape
-        n, fo, ho, wo = grad_out.shape
+        fo = grad_out.shape[1]
         if fo != f:
             raise ShapeError(f"Conv2D backward: grad channels {fo} != filters {f}")
+        if isinstance(self._lowered, tuple):
+            return self._dft_backward(grad_out, input_grad)
         g = grad_out.transpose(1, 0, 2, 3).reshape(f, -1)
         self.b_grad += g.sum(axis=1)
-        if self.output_side:
-            gcols = im2col(grad_out, kh, kw, 1, kh - 1 - self.pad)
-            dtaps = (gcols @ self._lowered.T).reshape(f, kh, kw, c)
-            self.w_grad += dtaps.transpose(0, 3, 1, 2)[:, :, ::-1, ::-1]
-            if not input_grad:
-                return None
-            dx = self._taps().T @ gcols
-            return dx.reshape(c, n, *self._x_shape[2:]).transpose(1, 0, 2, 3)
         self.w_grad += (g @ self._lowered.T).reshape(self.weights.shape)
         if not input_grad:
             return None
         dcols = self.weights.reshape(f, -1).T @ g
         return col2im(dcols, self._x_shape, kh, kw, self.stride, self.pad)
+
+    # A spectrum is planar, (frequency, re/im, rows, columns): at each
+    # frequency [Ar; Ai] is one (2*rows x columns) matrix, so a complex
+    # product is two real GEMMs and a signed add of their halves. Each
+    # temporary is dropped before the next large one is allocated.
+
+    def _dft(self, dtype):
+        _, _, h, w = self._x_shape
+        return conv_dft(h, w, self.pad, self.weights.shape[2], dtype)
+
+    def _dft_forward(self, x, ho, wo):
+        n, c, h, w = x.shape
+        f = self.weights.shape[0]
+        (x_dft, _), (w_dft, _), (_, y_idft) = self._dft(np.result_type(x, self.weights))
+        xs = (x_dft @ x.reshape(n * c, h * w).T).reshape(-1, 2 * n, c)
+        ws = (w_dft @ self.weights.reshape(f * c, -1).T).reshape(-1, 2, f, c)
+        self._lowered = (xs, ws)
+        ys = xs @ ws[:, 0].transpose(0, 2, 1)  # [Xr Wr'; Xi Wr']
+        xwi = xs @ ws[:, 1].transpose(0, 2, 1)  # [Xr Wi'; Xi Wi']
+        ys[:, :n] += xwi[:, n:]  # Y = X conj(W)': Xr Wr' + Xi Wi'
+        ys[:, n:] -= xwi[:, :n]  # and Xi Wr' - Xr Wi'
+        del xwi
+        out = (ys.reshape(-1, n * f).T @ y_idft).reshape(n, f, ho, wo)
+        out += self.bias[:, None, None]
+        return out
+
+    def _dft_backward(self, grad_out, input_grad):
+        n, f = grad_out.shape[:2]
+        c = self.weights.shape[1]
+        xs, ws = self._lowered
+        (_, x_idft), (_, w_idft), (y_dft, _) = self._dft(xs.dtype)
+        self.b_grad += grad_out.sum(axis=(0, 2, 3))
+        gs = (y_dft @ grad_out.reshape(n * f, -1).T).reshape(-1, 2 * n, f)
+        gr_t, gi_t = gs[:, :n].transpose(0, 2, 1), gs[:, n:].transpose(0, 2, 1)
+        dws = np.empty((len(gs), 2, f, c), dtype=xs.dtype)  # dW = G^H X:
+        np.matmul(gs.transpose(0, 2, 1), xs, out=dws[:, 0])  # Gr'Xr + Gi'Xi
+        np.matmul(gr_t, xs[:, n:], out=dws[:, 1])
+        dws[:, 1] -= gi_t @ xs[:, :n]  # and Gr'Xi - Gi'Xr
+        self.w_grad += (dws.reshape(-1, f * c).T @ w_idft).reshape(self.weights.shape)
+        del dws
+        if not input_grad:
+            return None
+        dxs = gs @ ws[:, 0]  # [Gr Wr; Gi Wr]
+        gwi = gs @ ws[:, 1]  # [Gr Wi; Gi Wi]
+        dxs[:, :n] -= gwi[:, n:]  # dX = G W: Gr Wr - Gi Wi
+        dxs[:, n:] += gwi[:, :n]  # and Gi Wr + Gr Wi
+        del gwi
+        return (dxs.reshape(-1, n * c).T @ x_idft).reshape(self._x_shape)
 
     def params(self):
         return [("weights", self.weights, self.w_grad), ("bias", self.bias, self.b_grad)]

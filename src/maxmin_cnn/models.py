@@ -1,7 +1,9 @@
 """Network composition, architecture presets, and weight persistence."""
+import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -281,10 +283,29 @@ def reduce_to_baseline(maxmin_net):
 MAGIC = b"MAXMIN01"
 
 
+@contextlib.contextmanager
+def write_atomically(path, mode="w"):
+    """Open ``path`` + ".tmp" for writing, then rename it onto ``path``.
+
+    A write that raises removes the temp file, and a process killed
+    mid-write leaves at most a stale temp file: either way ``path`` keeps
+    its previous contents.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_weights(net, path):
     """Little-endian binary: magic, 8-byte spec hash, then per-parameter
-    tensors as (rank: u32, dims: u64..., raw float64 data)."""
-    with open(path, "wb") as fh:
+    tensors as (rank: u32, dims: u64..., raw float64 data). Written atomically."""
+    with write_atomically(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(net.spec.spec_hash())
         for _, _, value, _ in net.params():

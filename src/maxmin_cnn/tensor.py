@@ -5,6 +5,8 @@ vectors); a result may be a strided view of channel-major memory.
 Operations here never mutate their inputs; the optimizer is the only
 place parameters are updated in place.
 """
+import functools
+
 import numpy as np
 
 from .errors import ConfigError, ShapeError
@@ -45,6 +47,48 @@ def im2col(x, kh, kw, stride, pad):
     windows = windows[:, :, ::stride, ::stride]  # N, C, Ho, Wo, kh, kw
     cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kh * kw, n * ho * wo)
     return np.ascontiguousarray(cols)
+
+
+@functools.lru_cache(maxsize=None)
+def conv_dft(h, w, pad, kernel, dtype):
+    """Real 2-D DFT matrices for a stride-1 conv of an h x w input.
+
+    The transform size is the padded input, P x Q = (h + 2*pad) x
+    (w + 2*pad). On it the circular correlation of the input with the
+    kernel equals the conv at the output positions, and the circular
+    forms of its two gradients equal them at the kernel taps and at the
+    input positions: nothing wraps. Only the half spectrum v <= Q // 2 of
+    the last axis is kept, F = P * (Q//2 + 1) frequencies. A spectrum of m
+    maps is planar, a (2F, m) matrix with one row per (frequency, re/im),
+    so a transform is one GEMM.
+
+    Returns ``(inputs, taps, outputs)``: for the input block at offset
+    ``pad``, the k x k taps and the output block at offset 0, a pair
+    ``(forward, inverse)`` of (2F, rows*cols) matrices. ``forward`` maps
+    the block's values to their spectrum; ``inverse`` maps a Hermitian
+    half spectrum, such as a product of two spectra, back to the real
+    values at the block. The arrays are shared and read-only.
+    """
+    p, q = h + 2 * pad, w + 2 * pad
+    half = q // 2 + 1
+    v = np.arange(half)
+    mirrored = np.where((v == 0) | (2 * v == q), 1.0, 2.0)  # column v also stands for Q - v
+    scale = np.repeat(np.tile(mirrored, p), 2)[:, None] / (p * q)
+
+    def block(offset, rows, cols):
+        u = np.arange(p)[:, None, None, None]
+        s = offset + np.arange(rows)[:, None]
+        t = offset + np.arange(cols)
+        turns = (u * s % p) / p + (v[:, None, None] * t % q) / q
+        angle = 2.0 * np.pi * turns  # (P, half, rows, cols)
+        forward = np.stack((np.cos(angle), -np.sin(angle)), axis=2).reshape(2 * p * half, -1)
+        pair = (forward.astype(dtype), (scale * forward).astype(dtype))
+        for a in pair:
+            a.setflags(write=False)
+        return pair
+
+    out_h, out_w = p - kernel + 1, q - kernel + 1
+    return block(pad, h, w), block(0, kernel, kernel), block(0, out_h, out_w)
 
 
 def col2im(cols, x_shape, kh, kw, stride, pad):

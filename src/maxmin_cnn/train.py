@@ -125,10 +125,10 @@ def train(net, train_data, val_data, config, test_data=None):
 
 
 def write_metrics(path, config, metrics, net):
-    """CSV with a leading '# config: {json}' provenance line."""
+    """CSV with a leading '# config: {json}' provenance line, written atomically."""
     provenance = dataclasses.asdict(config)
     provenance["param_count"] = net.param_count()
-    with open(path, "w") as fh:
+    with models.write_atomically(path) as fh:
         fh.write(f"# config: {json.dumps(provenance, sort_keys=True)}\n")
         fh.write(METRICS_HEADER + "\n")
         for m in metrics:

@@ -124,6 +124,28 @@ class TestValidation:
         assert code == 2
         assert repr(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,subset,role", [
+        ("train", "4", "validation"), ("train", "-1", "training"),
+        ("compare", "4", "validation"),
+    ], ids=["train", "train-negative", "compare"])
+    def test_subset_that_empties_a_split_exit_2(self, command, subset, role,
+                                                mnist_dir, tmp_path, capsys):
+        """--subset 4 holds out round(0.4) = 0 images; evaluate used to divide by zero."""
+        data_dir = mnist_dir
+        args = ["train", "--dataset", "mnist", "--epochs", "1"]
+        if command == "compare":
+            data_dir = tmp_path / "cifar"
+            data_dir.mkdir()
+            for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+                (data_dir / name).write_bytes(bytes(2 * D.CIFAR_RECORD_BYTES))
+            args = ["compare", "--budgets", "2-2-4", "--epochs", "1"]
+        out = tmp_path / "out"
+        code = cli.main(args + ["--subset", subset, "--data-dir", str(data_dir),
+                                "--out", str(out)])
+        assert code == 2
+        assert f"leave the {role} split empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_data_dir_exit_3(self, monkeypatch):
         monkeypatch.delenv("DATA_DIR", raising=False)
         parser_default_none = cli.main(["train", "--dataset", "mnist",

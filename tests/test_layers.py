@@ -11,24 +11,44 @@ rng = np.random.default_rng(7)
 
 
 def conv_oracle(x, weights, bias, stride, pad):
-    """Direct five-loop cross-correlation."""
+    """Direct cross-correlation: each output position sums its receptive field."""
     n, c, h, w = x.shape
     f, _, kh, kw = weights.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (w + 2 * pad - kw) // stride + 1
     out = np.zeros((n, f, ho, wo))
-    for ni in range(n):
-        for fi in range(f):
-            for oi in range(ho):
-                for oj in range(wo):
-                    acc = bias[fi]
-                    for ci in range(c):
-                        patch = xp[ni, ci, oi * stride:oi * stride + kh,
-                                   oj * stride:oj * stride + kw]
-                        acc += float((patch * weights[fi, ci]).sum())
-                    out[ni, fi, oi, oj] = acc
+    for oi in range(ho):
+        for oj in range(wo):
+            patch = xp[:, :, oi * stride:oi * stride + kh, oj * stride:oj * stride + kw]
+            out[:, :, oi, oj] = np.einsum("ncij,fcij->nf", patch, weights) + bias
     return out
+
+
+def conv_grad_oracle(x, weights, pad, grad_out):
+    """Stride-1 conv gradients from their definitions: (dW, db, dx)."""
+    f, c, kh, kw = weights.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = grad_out.shape[2:]
+    dw = np.empty(weights.shape)
+    dxp = np.zeros(xp.shape)
+    for i in range(kh):
+        for j in range(kw):
+            window = xp[:, :, i:i + ho, j:j + wo]
+            dw[:, :, i, j] = np.einsum("nfhw,nchw->fc", grad_out, window)
+            dxp[:, :, i:i + ho, j:j + wo] += np.einsum("nfhw,fc->nchw", grad_out, weights[:, :, i, j])
+    dx = dxp[:, :, pad:pad + x.shape[2], pad:pad + x.shape[3]]
+    return dw, grad_out.sum(axis=(0, 2, 3)), dx
+
+
+def assert_matches_wide_oracle(actual, ref):
+    """rtol 1e-12, plus atol 1e-12 * max|ref| for a sum over many channels.
+
+    An output of a 64-channel sum that cancels to near zero carries
+    round-off of the summed terms, not of itself: any summation order
+    other than the oracle's misses a pure rtol there.
+    """
+    np.testing.assert_allclose(actual, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 def pool_oracle(x, window, stride):
@@ -89,29 +109,60 @@ class TestConv2D:
         np.testing.assert_array_equal(conv.forward(x), [[[[10.0]]]])
 
     def test_matches_direct_oracle(self):
-        # 3->4 lowers its input; 8->3 narrows, so it lowers its output
-        for in_c, f, pad, output_side in ((3, 4, 0, False), (8, 3, 2, True)):
+        for in_c, f, pad in ((3, 4, 0), (8, 3, 2)):
             conv = make_conv(in_c, f, 5, pad=pad, seed=3)
-            assert conv.output_side is output_side
             x = rng.random((2, in_c, 8, 7))
+            assert conv.lowering(x.shape) == "im2col"
             out = conv.forward(x)
             ref = conv_oracle(x, conv.weights, conv.bias, 1, pad)
             np.testing.assert_allclose(out, ref, rtol=1e-12)
 
+    # 64 -> 32 channels at batch 16 or 13: an even and an odd transform
+    # width, no pad, and a pad beyond kernel - 1
+    @pytest.mark.parametrize("n,k,size,pad", [(16, 5, (8, 8), 2), (13, 5, (8, 7), 2),
+                                              (16, 5, (9, 8), 0), (16, 5, (6, 5), 4)],
+                             ids=["8x8-pad2", "8x7-pad2", "9x8-pad0", "6x5-pad4"])
+    def test_dft_matches_direct_oracle(self, n, k, size, pad):
+        conv = make_conv(64, 32, k, pad=pad, seed=19)
+        x = rng.standard_normal((n, 64) + size)
+        assert conv.lowering(x.shape) == "dft"
+        out = conv.forward(x)
+        assert_matches_wide_oracle(out, conv_oracle(x, conv.weights, conv.bias, 1, pad))
+        g = rng.standard_normal(out.shape)
+        dw, db, dx = conv_grad_oracle(x, conv.weights, pad, g)
+        assert_matches_wide_oracle(conv.backward(g), dx)
+        assert_matches_wide_oracle(conv.w_grad, dw)
+        assert_matches_wide_oracle(conv.b_grad, db)
+        # parameter gradients accumulate; input_grad=False skips only dx
+        assert conv.backward(g, input_grad=False) is None
+        assert_matches_wide_oracle(conv.w_grad, 2 * dw)
+        assert_matches_wide_oracle(conv.b_grad, 2 * db)
+
     @pytest.mark.parametrize("stride,pad", [(2, 1), (1, 3)])
     def test_narrowing_conv_off_the_rule_lowers_its_input(self, stride, pad):
-        """Stride > 1 or pad > kernel - 1 keeps a C > F conv on the input side."""
+        """Stride > 1, or a pad that makes the transforms cost more than the
+        spatial product, keeps a conv the DFT would otherwise take on im2col."""
         conv = make_conv(6, 2, 3, stride=stride, pad=pad, seed=17)
-        assert not conv.output_side
         x = rng.random((2, 6, 7, 7))
+        assert conv.lowering(x.shape) == "im2col"
         ref = conv_oracle(x, conv.weights, conv.bias, stride, pad)
         np.testing.assert_allclose(conv.forward(x), ref, rtol=1e-12)
 
-    @pytest.mark.parametrize("in_c,f", [(2, 3), (6, 3)])
-    def test_float32_stays_float32(self, in_c, f):
+        wide = make_conv(64, 32, 3, stride=stride, pad=pad, seed=17)
+        x = rng.random((16, 64, 9, 9))
+        assert make_conv(64, 32, 3, pad=1).lowering(x.shape) == "dft"
+        assert wide.lowering(x.shape) == "im2col"
+        ref = conv_oracle(x, wide.weights, wide.bias, stride, pad)
+        assert_matches_wide_oracle(wide.forward(x), ref)
+
+    @pytest.mark.parametrize("in_c,f,n,size,lowering", [(2, 3, 2, 5, "im2col"),
+                                                        (6, 3, 2, 5, "im2col"),
+                                                        (64, 32, 16, 8, "dft")],
+                             ids=["2-3", "6-3", "64-32"])
+    def test_float32_stays_float32(self, in_c, f, n, size, lowering):
         conv = L.Conv2D(in_c, f, 3, pad=1, rng=np.random.default_rng(0), dtype=np.float32)
-        assert conv.output_side is (in_c > f)
-        x = rng.standard_normal((2, in_c, 5, 5)).astype(np.float32)
+        x = rng.standard_normal((n, in_c, size, size)).astype(np.float32)
+        assert conv.lowering(x.shape) == lowering
         out = conv.forward(x)
         dx = conv.backward(np.ones_like(out))
         assert (out.dtype, dx.dtype, conv.w_grad.dtype, conv.b_grad.dtype) == (np.float32,) * 4
@@ -139,10 +190,13 @@ class TestConv2D:
         np.testing.assert_array_equal(conv.backward(g), g)
 
     def test_gradients_vs_finite_differences(self):
-        for in_c, f, pad in ((2, 3, 1), (6, 3, 1), (6, 3, 0)):
+        for n, in_c, f, size, pad, lowering in ((2, 2, 3, (6, 5), 1, "im2col"),
+                                                (2, 6, 3, (6, 5), 1, "im2col"),
+                                                (2, 6, 3, (6, 5), 0, "im2col"),
+                                                (16, 64, 32, (8, 8), 1, "dft")):
             conv = make_conv(in_c, f, 3, stride=1, pad=pad, seed=11, scale=0.5)
-            assert conv.output_side is (in_c > f)
-            x = rng.standard_normal((2, in_c, 6, 5))
+            x = rng.standard_normal((n, in_c) + size)
+            assert conv.lowering(x.shape) == lowering
             report = grad_check_layer(conv, x, tolerance=1e-4)
             assert report.passed, str(report)
 
@@ -155,11 +209,12 @@ class TestConv2D:
             make_conv(1, 1, 1).backward(np.zeros((1, 1, 2, 2)))
 
     def test_negation_symmetry(self):
-        """conv(x, -W, -b) == -conv(x, W, b) exactly, on either side."""
-        for in_c, f in ((3, 4), (8, 4)):
+        """conv(x, -W, -b) == -conv(x, W, b) exactly, whichever the lowering."""
+        for n, in_c, f, size, lowering in ((2, 3, 4, 9, "im2col"), (2, 8, 4, 9, "im2col"),
+                                           (16, 64, 32, 8, "dft")):
             conv = make_conv(in_c, f, 5, pad=2, seed=13)
-            assert conv.output_side is (in_c > f)
-            x = rng.standard_normal((2, in_c, 9, 9))
+            x = rng.standard_normal((n, in_c, size, size))
+            assert conv.lowering(x.shape) == lowering
             pos = conv.forward(x)
             conv.weights[...] = -conv.weights
             conv.bias[...] = -conv.bias

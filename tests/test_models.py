@@ -153,6 +153,25 @@ class TestParamCount:
         assert abs(mm - base) / base <= 0.15
 
 
+def conv_lowerings(net, batch):
+    """The lowering each conv of a preset net takes at ``batch``; the presets pool 32 -> 16 -> 8."""
+    convs = [layer for layer in net.layers if isinstance(layer, Conv2D)]
+    return [conv.lowering((batch, conv.weights.shape[1], side, side))
+            for conv, side in zip(convs, (32, 16, 8))]
+
+
+class TestLoweringRule:
+    # batch 2: the gradient check; 13: validation, 21 and 25: the test splits
+    # of the benchmark workloads; 64: training and evaluate
+    @pytest.mark.parametrize("batch", [2, 13, 21, 25, 64])
+    @pytest.mark.parametrize("dataset,boost", [("mnist", False), ("cifar10", True)],
+                             ids=["mnist-maxmin", "cifar10-maxmin-boost"])
+    def test_lowering_at_the_preset_shapes(self, dataset, boost, batch):
+        net = models.build_network(models.preset_spec(dataset, "maxmin", boost=boost))
+        later = "im2col" if batch == 2 else "dft"
+        assert conv_lowerings(net, batch) == ["im2col", later, later]
+
+
 class TestReduction:
     @pytest.mark.parametrize("build,shape", [
         (lambda: models.build_mnist("maxmin", seed=11), (1, 32, 32)),
@@ -165,6 +184,22 @@ class TestReduction:
             x = rng.random((2,) + shape)
             diff = np.abs(reduced.forward(x) - baseline.forward(x)).max()
             assert diff <= 1e-12
+
+    # CIFAR's baseline conv2 (32 -> 32 on 16x16) stays on im2col while the
+    # maxmin conv2 it pairs with takes the DFT
+    @pytest.mark.parametrize("dataset,boost,baseline_lowerings", [
+        ("mnist", False, ["im2col", "dft", "dft"]),
+        ("cifar10", True, ["im2col", "im2col", "dft"]),
+    ], ids=["mnist", "cifar10-boost"])
+    def test_reduction_holds_where_conv2_and_conv3_take_the_dft(self, dataset, boost,
+                                                                 baseline_lowerings):
+        """Criterion 3 forwards one image, which never reaches the DFT; batch 64 does."""
+        net = models.build_network(models.preset_spec(dataset, "maxmin", boost=boost), seed=11)
+        reduced, baseline = models.reduce_to_baseline(net)
+        assert conv_lowerings(reduced, 64) == ["im2col", "dft", "dft"]
+        assert conv_lowerings(baseline, 64) == baseline_lowerings
+        x = rng.random((64,) + net.spec.input_shape)
+        assert np.abs(reduced.forward(x) - baseline.forward(x)).max() <= 1e-12
 
     @pytest.mark.parametrize("filters", [None, (3, 4, 5)], ids=["default", "3-4-5"])
     @pytest.mark.parametrize("dataset,boost", [
@@ -218,6 +253,27 @@ class TestWeightFiles:
         loaded = models.load_weights(path, net.spec)
         for (_, _, a, _), (_, _, b, _) in zip(net.params(), loaded.params()):
             np.testing.assert_array_equal(a, b)
+
+    def test_save_that_raises_partway_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        net = models.build_mnist("maxmin", filters=(4, 4, 4), seed=7)
+        path = tmp_path / "best.bin"
+        models.save_weights(net, path)
+        before = path.read_bytes()
+        newer = models.build_mnist("maxmin", filters=(4, 4, 4), seed=8)
+        params = newer.params
+
+        def first_tensor_then_fail():
+            yield next(params())
+            raise OSError("disk full")
+
+        monkeypatch.setattr(newer, "params", first_tensor_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            models.save_weights(newer, path)
+        assert path.read_bytes() == before
+        loaded = models.load_weights(path, net.spec)
+        for (_, _, a, _), (_, _, b, _) in zip(net.params(), loaded.params()):
+            np.testing.assert_array_equal(a, b)
+        assert [p.name for p in tmp_path.iterdir()] == ["best.bin"]
 
     def test_wrong_architecture_hash(self, tmp_path):
         net = models.build_mnist("baseline", filters=(4, 4, 4), seed=7)

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maxmin_cnn.errors import ConfigError
-from maxmin_cnn.tensor import col2im, conv_out_size, im2col
+from maxmin_cnn.tensor import col2im, conv_dft, conv_out_size, im2col
 
 rng = np.random.default_rng(42)
 
@@ -64,3 +64,31 @@ class TestIm2col:
     def test_non_integral_output_size(self):
         with pytest.raises(ConfigError):
             im2col(np.zeros((1, 1, 5, 5)), 2, 2, 2, 0)
+
+
+class TestConvDft:
+    @pytest.mark.parametrize("h,w,pad,kernel", [(8, 8, 2, 5), (8, 7, 2, 5), (6, 5, 4, 3)],
+                             ids=["even", "odd-width", "pad-over-kernel"])
+    def test_blocks_match_rfft2(self, h, w, pad, kernel):
+        """Each forward matrix is rfft2 of its block placed in the padded P x Q
+        canvas; each inverse recovers the block from a Hermitian half spectrum."""
+        p, q = h + 2 * pad, w + 2 * pad
+        blocks = conv_dft(h, w, pad, kernel, np.dtype(np.float64))
+        for (forward, inverse), (offset, rows, cols) in zip(
+                blocks, ((pad, h, w), (0, kernel, kernel), (0, p - kernel + 1, q - kernel + 1))):
+            vals = rng.standard_normal((3, rows, cols))
+            canvas = np.zeros((3, p, q))
+            canvas[:, offset:offset + rows, offset:offset + cols] = vals
+            ref = np.fft.rfft2(canvas).reshape(3, -1)
+            spectrum = forward @ vals.reshape(3, -1).T  # rows (frequency, re/im)
+            np.testing.assert_allclose(spectrum[0::2].T, ref.real, atol=1e-12)
+            np.testing.assert_allclose(spectrum[1::2].T, ref.imag, atol=1e-12)
+            np.testing.assert_allclose((spectrum.T @ inverse).reshape(vals.shape), vals,
+                                       atol=1e-12)
+
+    def test_shared_matrices_are_read_only(self):
+        first = conv_dft(4, 4, 2, 5, np.dtype(np.float32))
+        assert first is conv_dft(4, 4, 2, 5, np.dtype(np.float32))
+        for pair in first:
+            for a in pair:
+                assert a.dtype == np.float32 and not a.flags.writeable

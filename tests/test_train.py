@@ -9,8 +9,9 @@ from maxmin_cnn import models
 from maxmin_cnn.data import LabeledImages
 from maxmin_cnn.errors import DivergenceError
 from maxmin_cnn.layers import Dense
-from maxmin_cnn.train import (METRICS_HEADER, GradCheckEntry, GradCheckReport, TrainConfig,
-                              evaluate, grad_check, grad_check_layer, train, write_metrics)
+from maxmin_cnn.train import (METRICS_HEADER, EpochMetrics, GradCheckEntry, GradCheckReport,
+                              TrainConfig, evaluate, grad_check, grad_check_layer, train,
+                              write_metrics)
 
 rng = np.random.default_rng(55)
 
@@ -135,6 +136,22 @@ class TestTrainLoop:
         write_metrics(path, TrainConfig(epochs=0), [], net=net)
         assert f'"param_count": {net.param_count()}' in path.read_text()
 
+    def test_metrics_write_that_raises_partway_keeps_the_previous_file(self, tmp_path):
+        net = tiny_net(seed=1)
+        path = tmp_path / "metrics.csv"
+        row = EpochMetrics(0, 2.3, 0.1, 0.1, None, 0.01, 1.0)
+        write_metrics(path, TrainConfig(epochs=1), [row], net=net)
+        before = path.read_text()
+
+        def rows_then_fail():
+            yield row
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_metrics(path, TrainConfig(epochs=2), rows_then_fail(), net=net)
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
 
 class TestEvaluate:
     def test_perfect_net(self):
@@ -254,8 +271,8 @@ class TestSuffixReplay:
 LAYER_INPUTS = [
     ("conv-input-side", lambda: L.Conv2D(2, 3, 5, pad=2, rng=np.random.default_rng(0)),
      (2, 2, 6, 6)),
-    ("conv-output-side", lambda: L.Conv2D(4, 2, 5, pad=2, rng=np.random.default_rng(0)),
-     (2, 4, 6, 6)),
+    ("conv-dft", lambda: L.Conv2D(8, 8, 5, pad=2, rng=np.random.default_rng(0)),
+     (13, 8, 4, 4)),
     ("maxmin", L.MaxMin, (2, 3, 5, 5)),
     ("relu", L.ReLU, (2, 3, 5, 5)),
     ("maxpool", lambda: L.MaxPool(3, 2), (2, 2, 7, 7)),
@@ -265,6 +282,7 @@ LAYER_INPUTS = [
     ("dense", lambda: L.Dense(12, 7, rng=np.random.default_rng(1)), (4, 12)),
     ("dropout", lambda: L.Dropout(0.4, rng=np.random.default_rng(2)), (3, 4, 4, 4)),
 ]
+CONV_LOWERINGS = {"conv-input-side": "im2col", "conv-dft": "dft"}  # conv-dft: 13 images reach the DFT
 
 
 @pytest.mark.parametrize("train_mode", [False, True])
@@ -275,6 +293,8 @@ def test_layers_leave_their_input_unchanged(name, factory, shape, train_mode):
     x = r.standard_normal(shape)
     before = x.tobytes()
     layer = factory()
+    if name in CONV_LOWERINGS:
+        assert layer.lowering(shape) == CONV_LOWERINGS[name]
     out = layer.forward(x, train=train_mode)
     layer.backward(r.standard_normal(out.shape))
     assert x.tobytes() == before
