@@ -4,7 +4,7 @@ from .errors import (ConfigError, DataError, DivergenceError, LayerStateError, M
                      ShapeError, WeightFileError)
 from .models import (Network, NetworkSpec, build_cifar, build_mnist, build_network,
                      load_weights, preset_spec, reduce_to_baseline, save_weights)
-from .optim import SGD, PlateauScheduler, SGDConfig
+from .optim import SGD, PlateauScheduler
 from .train import TrainConfig, evaluate, grad_check, grad_check_layer
 
 __version__ = "0.1.0"

@@ -36,25 +36,32 @@ def _parse_filters(text, sep=",", flag="--filters"):
     return filters
 
 
-def load_dataset(name, data_dir, train_subset=None, seed=0):
-    """Returns (train, val, test) splits for mnist or cifar10."""
+# dataset -> (name in messages, training files, test files)
+DATA_FILES = {
+    "mnist": ("MNIST", ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+              ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")),
+    "cifar10": ("CIFAR-10", tuple(f"data_batch_{i}.bin" for i in range(1, 6)),
+                ("test_batch.bin",)),
+}
+
+
+def _load_files(name, data_dir, test_only=False):
+    """Decodes the training and test splits, or the test split alone,
+    once every file they need is found."""
     if not data_dir:
         raise DataError("no data directory given (use --data-dir or $DATA_DIR)\n" + FETCH_HELP)
-    if name == "mnist":
-        paths = [os.path.join(data_dir, p) for p in
-                 ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
-                  "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")]
-        if not all(os.path.exists(p) for p in paths):
-            raise DataError(f"missing MNIST files in {data_dir}\n" + FETCH_HELP)
-        full = D.load_mnist(paths[0], paths[1])
-        test = D.load_mnist(paths[2], paths[3])
-    else:
-        batches = [os.path.join(data_dir, f"data_batch_{i}.bin") for i in range(1, 6)]
-        test_path = os.path.join(data_dir, "test_batch.bin")
-        if not all(os.path.exists(p) for p in batches + [test_path]):
-            raise DataError(f"missing CIFAR-10 files in {data_dir}\n" + FETCH_HELP)
-        full = D.load_cifar10(batches)
-        test = D.load_cifar10([test_path])
+    title, train_files, test_files = DATA_FILES[name]
+    splits = [test_files] if test_only else [train_files, test_files]
+    paths = [[os.path.join(data_dir, f) for f in files] for files in splits]
+    if not all(os.path.exists(p) for group in paths for p in group):
+        raise DataError(f"missing {title} files in {data_dir}\n" + FETCH_HELP)
+    return [D.load_mnist(*group) if name == "mnist" else D.load_cifar10(group)
+            for group in paths]
+
+
+def load_dataset(name, data_dir, train_subset=None, seed=0):
+    """Returns (train, val, test) splits for mnist or cifar10."""
+    full, test = _load_files(name, data_dir)
     if train_subset:
         full = full.subset(np.arange(min(train_subset, len(full))))
     train_split, val_split = D.split_train_val(full, 0.1, seed)
@@ -70,16 +77,9 @@ def build_net(dataset, arch, filters=None, boost=False, seed=0, dtype=np.float64
     return models.build_network(spec, seed=seed, dtype=dtype)
 
 
-def _print_config(args):
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    print(f"config: {json.dumps(resolved, default=str)}")
-
-
 def cmd_train(args):
-    _print_config(args)
-    filters = _parse_filters(args.filters) if args.filters else None
     dtype = np.float32 if args.float32 else np.float64
-    net = build_net(args.dataset, args.arch, filters, boost=args.boost,
+    net = build_net(args.dataset, args.arch, args.filters, boost=args.boost,
                     seed=args.seed, dtype=dtype)
     train_split, val_split, test = load_dataset(
         args.dataset, args.data_dir, train_subset=args.subset, seed=args.seed)
@@ -102,20 +102,19 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    _print_config(args)
-    filters = _parse_filters(args.filters) if args.filters else None
-    spec = models.preset_spec(args.dataset, args.arch, filters, args.boost)
+    spec = models.preset_spec(args.dataset, args.arch, args.filters, args.boost)
+    if args.boost:
+        raise ConfigError("eval --boost needs the ZCA whitening transform that train fitted, "
+                          "and no run saves it yet; unwhitened test images would be misscored")
     net = models.load_weights(args.weights, spec)
-    _, _, test = load_dataset(args.dataset, args.data_dir, seed=args.seed)
+    (test,) = _load_files(args.dataset, args.data_dir, test_only=True)
     acc = evaluate(net, test)
     print(f"test_acc={acc:.6f} n={len(test)}")
     return 0
 
 
 def cmd_gradcheck(args):
-    _print_config(args)
-    filters = _parse_filters(args.filters) if args.filters else None
-    net = build_net(args.dataset, args.arch, filters, seed=args.seed)
+    net = build_net(args.dataset, args.arch, args.filters, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     shape = (2,) + net.spec.input_shape
     x = rng.random(shape)
@@ -127,9 +126,7 @@ def cmd_gradcheck(args):
 
 
 def cmd_params(args):
-    _print_config(args)
-    filters = _parse_filters(args.filters) if args.filters else None
-    net = build_net(args.dataset, args.arch, filters, boost=args.boost, seed=args.seed)
+    net = build_net(args.dataset, args.arch, args.filters, boost=args.boost)
     for i, (layer, descs) in enumerate(zip(net.layers, net.spec.layers)):
         count = sum(v.size for _, v, _ in layer.params())
         if count:
@@ -139,7 +136,6 @@ def cmd_params(args):
 
 
 def cmd_compare(args):
-    _print_config(args)
     budgets = [_parse_filters(b, "-", "--budgets") for b in args.budgets.split(",")]
     pairs = [(b, models.matched_maxmin_filters(b)) for b in budgets]
     # train and evaluate leave the splits untouched, so every run shares one load
@@ -156,31 +152,31 @@ def cmd_compare(args):
             counts[arch] = net.param_count()
             net, _ = train(net, train_split, val_split, config)
             accs[arch] = evaluate(net, test)
-        rows.append((f"{'-'.join(map(str, base_filters))}",
-                     f"{counts['baseline']}/{counts['maxmin']}",
-                     f"{accs['baseline']:.4f}", f"{accs['maxmin']:.4f}"))
+        rows.append(("-".join(map(str, base_filters)), counts["baseline"], counts["maxmin"],
+                     accs["baseline"], accs["maxmin"]))
     print(f"{'budget':>12} {'params base/maxmin':>22} {'base_acc':>9} {'maxmin_acc':>10}")
-    for row in rows:
-        print(f"{row[0]:>12} {row[1]:>22} {row[2]:>9} {row[3]:>10}")
+    for budget, base_p, mm_p, base_acc, mm_acc in rows:
+        print(f"{budget:>12} {f'{base_p}/{mm_p}':>22} {base_acc:>9.4f} {mm_acc:>10.4f}")
     if args.out:
-        with open(args.out, "w") as fh:
+        with models.write_atomically(args.out) as fh:
             fh.write("budget,baseline_params,maxmin_params,baseline_acc,maxmin_acc\n")
-            for row in rows:
-                base_p, mm_p = row[1].split("/")
-                fh.write(f"{row[0]},{base_p},{mm_p},{row[2]},{row[3]}\n")
+            for budget, base_p, mm_p, base_acc, mm_acc in rows:
+                fh.write(f"{budget},{base_p},{mm_p},{base_acc:.4f},{mm_acc:.4f}\n")
     return 0
 
 
-def _add_run_args(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--data-dir", default=os.environ.get("DATA_DIR"))
+def _add_run_args(p, seed=True, data_dir=True):
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if data_dir:
+        p.add_argument("--data-dir", default=os.environ.get("DATA_DIR"))
 
 
-def _add_preset_args(p):
+def _add_preset_args(p, seed=True, data_dir=True):
     p.add_argument("--dataset", choices=tuple(models.PRESETS), required=True)
     p.add_argument("--arch", choices=("baseline", "maxmin"), default="baseline")
     p.add_argument("--filters", help="comma-separated conv filter counts, e.g. 32,32,64")
-    _add_run_args(p)
+    _add_run_args(p, seed, data_dir)
 
 
 def make_parser():
@@ -205,19 +201,19 @@ def make_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate saved weights on the test split")
-    _add_preset_args(p)
+    _add_preset_args(p, seed=False)
     p.add_argument("--boost", action="store_true")
     p.add_argument("--weights", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of a preset's gradients")
-    _add_preset_args(p)
+    _add_preset_args(p, data_dir=False)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--samples", type=int, default=200)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("params", help="print per-layer and total parameter counts")
-    _add_preset_args(p)
+    _add_preset_args(p, seed=False, data_dir=False)
     p.add_argument("--boost", action="store_true")
     p.set_defaults(func=cmd_params)
 
@@ -239,11 +235,15 @@ def main(argv=None):
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "command", None) == "train":
+        if args.command == "train":
             if args.epochs is None:
                 args.epochs = 250 if args.dataset == "mnist" else 60
             if args.weight_decay is None:
                 args.weight_decay = 1e-3 if args.dataset == "mnist" else 1e-4
+        resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+        print(f"config: {json.dumps(resolved, default=str)}")
+        if hasattr(args, "filters"):
+            args.filters = _parse_filters(args.filters) if args.filters else None
         return args.func(args)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

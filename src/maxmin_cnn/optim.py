@@ -1,24 +1,7 @@
 """SGD with momentum and weight decay, plus plateau learning-rate decay."""
-import dataclasses
-
 import numpy as np
 
 from .errors import DivergenceError, ShapeError
-
-
-@dataclasses.dataclass
-class SGDConfig:
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
 
 class SGD:
@@ -28,13 +11,16 @@ class SGD:
     the caller guarantees exclusive access during a step.
     """
 
-    def __init__(self, config):
-        self.config = config
-        self.learning_rate = config.learning_rate
+    def __init__(self, momentum=0.9, weight_decay=0.0):
+        if not 0.0 <= momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        if weight_decay < 0:
+            raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
+        self.momentum = momentum
+        self.weight_decay = weight_decay
         self._velocity = {}
 
-    def step(self, net):
-        cfg = self.config
+    def step(self, net, learning_rate):
         for i, name, p, g in net.params():
             key = (i, name)
             if g.shape != p.shape:
@@ -44,8 +30,8 @@ class SGD:
             v = self._velocity.get(key)
             if v is None:
                 v = self._velocity[key] = np.zeros_like(p)
-            v *= cfg.momentum
-            v -= self.learning_rate * (g + cfg.weight_decay * p)
+            v *= self.momentum
+            v -= learning_rate * (g + self.weight_decay * p)
             p += v
 
 
@@ -54,10 +40,13 @@ class PlateauScheduler:
 
     A reduction fires once the best-so-far accuracy has gone
     ``patience`` consecutive evaluations without improving; the stall
-    counter then resets.
+    counter then resets. ``lr`` is the current rate, the one each SGD
+    step takes.
     """
 
     def __init__(self, lr, patience=3, factor=0.1):
+        if lr <= 0:
+            raise ValueError(f"learning rate must be positive, got {lr}")
         if not 0.0 < factor < 1.0:
             raise ValueError(f"factor must be in (0, 1), got {factor}")
         if patience < 1:

@@ -9,9 +9,10 @@ import numpy as np
 from . import models
 from .data import augment, zca_apply, zca_fit
 from .errors import DivergenceError
-from .optim import SGD, PlateauScheduler, SGDConfig
+from .optim import SGD, PlateauScheduler
 
 METRICS_HEADER = "epoch,train_loss,train_acc,val_acc,test_acc,lr,seconds"
+EVAL_BATCH = 64  # images per evaluate forward: the default training batch
 
 
 @dataclasses.dataclass
@@ -34,7 +35,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError(f"bad epochs/batch_size: {self.epochs}/{self.batch_size}")
-        SGDConfig(self.learning_rate, self.momentum, self.weight_decay)
+        self.optimizers()  # a bad rate, momentum, decay, patience or factor fails here
+
+    def optimizers(self):
+        """A fresh (SGD, PlateauScheduler) pair for one run."""
+        return (SGD(self.momentum, self.weight_decay),
+                PlateauScheduler(self.learning_rate, self.patience, self.lr_factor))
 
 
 @dataclasses.dataclass
@@ -53,13 +59,13 @@ class EpochMetrics:
                 f"{self.val_acc:.6f},{test},{self.lr:.8g},{self.seconds:.3f}")
 
 
-def evaluate(net, data, batch_size=64):
+def evaluate(net, data):
     """Top-1 accuracy; argmax ties break toward the lowest class index."""
     correct = 0
-    for start in range(0, len(data), batch_size):
-        x = data.images[start:start + batch_size]
+    for start in range(0, len(data), EVAL_BATCH):
+        x = data.images[start:start + EVAL_BATCH]
         logits = net.forward(x, train=False)
-        correct += int((logits.argmax(axis=1) == data.labels[start:start + batch_size]).sum())
+        correct += int((logits.argmax(axis=1) == data.labels[start:start + EVAL_BATCH]).sum())
     return correct / len(data)
 
 
@@ -72,9 +78,7 @@ def train(net, train_data, val_data, config, test_data=None):
     non-finite loss.
     """
     rng = np.random.default_rng(config.seed)
-    opt = SGD(SGDConfig(config.learning_rate, config.momentum, config.weight_decay))
-    sched = PlateauScheduler(config.learning_rate, patience=config.patience,
-                             factor=config.lr_factor)
+    opt, sched = config.optimizers()
     zca = None
     if config.zca:
         zca = zca_fit(train_data.images)
@@ -102,16 +106,16 @@ def train(net, train_data, val_data, config, test_data=None):
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch} batch {b}")
             net.backward(input_grad=False)  # nothing reads the input gradient
-            opt.step(net)
+            opt.step(net, sched.lr)
             losses.append(loss)
             correct += int((probs.argmax(axis=1) == y).sum())
             seen += len(y)
         val_acc = evaluate(net, val_data)
-        opt.learning_rate = sched.update(val_acc)
+        sched.update(val_acc)
         test_acc = evaluate(net, test_data) if (config.eval_test and test_data is not None) else None
         metrics.append(EpochMetrics(
             epoch=epoch, train_loss=float(np.mean(losses)), train_acc=correct / seen,
-            val_acc=val_acc, test_acc=test_acc, lr=opt.learning_rate,
+            val_acc=val_acc, test_acc=test_acc, lr=sched.lr,
             seconds=time.time() - t0,
         ))
         if config.out_dir:

@@ -1,5 +1,7 @@
+import builtins
 import os
 import pathlib
+import shutil
 import struct
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from maxmin_cnn import cli
+from maxmin_cnn import cli, models
 from maxmin_cnn import data as D
 
 rng = np.random.default_rng(77)
@@ -97,13 +99,54 @@ class TestValidation:
         assert "train-images-idx3-ubyte" in err
 
     @pytest.mark.parametrize("command,extra", [
-        ("train", []), ("params", []), ("eval", ["--weights", "best.bin"]),
+        ("train", ["--data-dir", "."]), ("params", []),
+        ("eval", ["--weights", "best.bin", "--data-dir", "."]),
     ], ids=["train", "params", "eval"])
-    def test_mnist_boost_exit_2(self, command, extra, tmp_path, capsys):
-        code = cli.main([command, "--dataset", "mnist", "--boost",
-                         "--data-dir", str(tmp_path)] + extra)
+    def test_mnist_boost_exit_2(self, command, extra, capsys):
+        code = cli.main([command, "--dataset", "mnist", "--boost"] + extra)
         assert code == 2
         assert "boost applies to cifar10 only" in capsys.readouterr().err
+
+    def test_cifar_eval_boost_exit_2_before_loading(self, tmp_path, capsys):
+        """train --boost scores ZCA-whitened images, and the fitted transform is not
+        saved, so eval cannot reproduce them. Neither the weight file nor the data
+        exists, so exit 2 means the flag was refused before either was read."""
+        code = cli.main(["eval", "--dataset", "cifar10", "--arch", "maxmin", "--boost",
+                         "--weights", str(tmp_path / "best.bin"), "--data-dir", str(tmp_path)])
+        assert code == 2
+        assert "ZCA whitening transform" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--dataset", "mnist", "--weights", "best.bin", "--seed", "1"],
+        ["gradcheck", "--dataset", "mnist", "--data-dir", "."],
+        ["params", "--dataset", "mnist", "--seed", "1"],
+        ["params", "--dataset", "mnist", "--data-dir", "."],
+    ], ids=["eval-seed", "gradcheck-data-dir", "params-seed", "params-data-dir"])
+    def test_unread_flag_rejected(self, argv):
+        """eval's seed only shuffled a split it never scores; gradcheck reads no
+        files; parameter counts depend on neither."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command,dataset,title,missing", [
+        ("train", "mnist", "MNIST", "t10k-labels-idx1-ubyte"),
+        ("train", "cifar10", "CIFAR-10", "test_batch.bin"),
+        ("compare", "cifar10", "CIFAR-10", "test_batch.bin"),
+    ], ids=["train-mnist", "train-cifar10", "compare"])
+    def test_every_file_checked_before_decoding(self, command, dataset, title, missing,
+                                                request, monkeypatch, capsys):
+        """The last file a run needs is missing, so no split may be decoded first."""
+        data_dir = request.getfixturevalue("mnist_dir" if dataset == "mnist" else "cifar_dir")
+        (data_dir / missing).unlink()
+        decoded = []
+        for loader in ("load_mnist", "load_cifar10"):
+            monkeypatch.setattr(D, loader, lambda *args: decoded.append(args))
+        args = (["compare", "--budgets", "2-2-4"] if command == "compare"
+                else ["train", "--dataset", dataset])
+        assert cli.main(args + ["--epochs", "1", "--data-dir", str(data_dir)]) == 3
+        assert f"missing {title} files in {data_dir}" in capsys.readouterr().err
+        assert decoded == []
 
     def test_wrong_image_size_exit_3(self, mnist_dir, capsys):
         """40x40 digits used to reach np.pad with a negative width (exit 2)."""
@@ -182,6 +225,56 @@ class TestTrainEvalRoundTrip:
         assert code == 0
         assert "test_acc=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dataset,test_files,n", [
+        ("mnist", ["t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"], 10),
+        ("cifar10", ["test_batch.bin"], 8),
+    ], ids=["mnist", "cifar10"])
+    def test_eval_reads_the_test_files_alone(self, dataset, test_files, n, request,
+                                             tmp_path, capsys):
+        full_dir = request.getfixturevalue("mnist_dir" if dataset == "mnist" else "cifar_dir")
+        test_dir = tmp_path / "test_only"
+        test_dir.mkdir()
+        for name in test_files:
+            shutil.copy(full_dir / name, test_dir / name)
+        weights = tmp_path / "best.bin"
+        models.save_weights(cli.build_net(dataset, "maxmin", (2, 2, 2), seed=3), str(weights))
+        lines = []
+        for data_dir in (full_dir, test_dir):
+            assert cli.main(["eval", "--dataset", dataset, "--arch", "maxmin",
+                             "--filters", "2,2,2", "--weights", str(weights),
+                             "--data-dir", str(data_dir)]) == 0
+            lines.append(capsys.readouterr().out.splitlines()[-1])
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("test_acc=") and lines[0].endswith(f" n={n}")
+
+    def test_compare_out_failed_write_keeps_previous_csv(self, cifar_dir, monkeypatch):
+        """A write that raises after the header leaves the old table and no temp file."""
+        out_csv = cifar_dir / "table.csv"
+        out_csv.write_text("previous table\n")
+        real_open = open
+
+        def open_failing_on_second_write(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            if "w" in mode:
+                writes = []
+                real_write = fh.write
+
+                def write(text):
+                    writes.append(text)
+                    if len(writes) == 2:
+                        raise OSError("no space left on device")
+                    return real_write(text)
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr(builtins, "open", open_failing_on_second_write)
+        with pytest.raises(OSError, match="no space left"):
+            cli.main(["compare", "--budgets", "2-2-4", "--epochs", "1", "--batch-size", "8",
+                      "--data-dir", str(cifar_dir), "--out", str(out_csv)])
+        monkeypatch.undo()
+        assert out_csv.read_text() == "previous table\n"
+        assert sorted(p.name for p in cifar_dir.glob("table.csv*")) == ["table.csv"]
+
     def test_compare_emits_table(self, tmp_path, capsys, monkeypatch):
         # synthetic CIFAR batches
         for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
@@ -246,10 +339,11 @@ def test_train_then_eval_beats_chance_on_idx_files(arch, tmp_path, capsys):
     for seed, (split, n) in enumerate((("train", 400), ("t10k", 100))):
         _write_idx(tmp_path, split, *_learnable(n, (28, 28), seed))
     out = tmp_path / arch
-    common = ["--dataset", "mnist", "--arch", arch, "--filters", "4,4,4", "--seed", "1",
+    common = ["--dataset", "mnist", "--arch", arch, "--filters", "4,4,4",
               "--data-dir", str(tmp_path)]
-    assert cli.main(["train", *common, "--epochs", "5", "--batch-size", "4", "--lr", "0.02",
-                     "--momentum", "0.5", "--weight-decay", "0", "--out", str(out)]) == 0
+    assert cli.main(["train", *common, "--seed", "1", "--epochs", "5", "--batch-size", "4",
+                     "--lr", "0.02", "--momentum", "0.5", "--weight-decay", "0",
+                     "--out", str(out)]) == 0
     capsys.readouterr()
     assert cli.main(["eval", *common, "--weights", str(out / "best.bin")]) == 0
     acc = float(capsys.readouterr().out.split("test_acc=")[1].split()[0])

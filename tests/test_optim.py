@@ -3,7 +3,7 @@ import pytest
 
 from maxmin_cnn import models
 from maxmin_cnn.errors import DivergenceError
-from maxmin_cnn.optim import SGD, PlateauScheduler, SGDConfig
+from maxmin_cnn.optim import SGD, PlateauScheduler
 
 
 class OneParamNet:
@@ -20,21 +20,21 @@ class OneParamNet:
 class TestSGDStep:
     def test_fixed_point(self):
         net = OneParamNet([1.0, -2.0], [0.0, 0.0])
-        SGD(SGDConfig(0.1, 0.9, 0.0)).step(net)
+        SGD(0.9, 0.0).step(net, 0.1)
         np.testing.assert_array_equal(net.p, [1.0, -2.0])
 
     def test_single_step_hand_arithmetic(self):
         net = OneParamNet([1.0], [1.0])
-        opt = SGD(SGDConfig(0.1, 0.9, 0.0))
-        opt.step(net)
+        opt = SGD(0.9, 0.0)
+        opt.step(net, 0.1)
         np.testing.assert_allclose(net.p, [0.9], rtol=1e-15)
         np.testing.assert_allclose(opt._velocity[(0, "p")], [-0.1], rtol=1e-15)
 
     def test_two_steps_hand_arithmetic(self):
         net = OneParamNet([1.0], [1.0])
-        opt = SGD(SGDConfig(0.1, 0.9, 0.0))
-        opt.step(net)
-        opt.step(net)
+        opt = SGD(0.9, 0.0)
+        opt.step(net, 0.1)
+        opt.step(net, 0.1)
         np.testing.assert_allclose(opt._velocity[(0, "p")], [-0.19], rtol=1e-15)
         np.testing.assert_allclose(net.p, [0.71], rtol=1e-15)
 
@@ -43,15 +43,15 @@ class TestSGDStep:
         p0 = rng.standard_normal(5)
         g = rng.standard_normal(5)
         net = OneParamNet(p0.copy(), g)
-        SGD(SGDConfig(0.05, 0.0, 0.0)).step(net)
+        SGD(0.0, 0.0).step(net, 0.05)
         np.testing.assert_array_equal(net.p, p0 - 0.05 * g)
 
     def test_weight_decay_shrinks_norm(self):
         net = OneParamNet([2.0, -3.0], [0.0, 0.0])
-        opt = SGD(SGDConfig(0.1, 0.0, 0.5))
+        opt = SGD(0.0, 0.5)
         prev = np.linalg.norm(net.p)
         for _ in range(10):
-            opt.step(net)
+            opt.step(net, 0.1)
             norm = np.linalg.norm(net.p)
             assert norm < prev
             # closed form for m=0: per-step factor (1 - lr*wd)
@@ -61,20 +61,20 @@ class TestSGDStep:
     def test_non_finite_gradient_names_parameter(self):
         net = OneParamNet([1.0], [np.nan])
         with pytest.raises(DivergenceError, match="'p'"):
-            SGD(SGDConfig(0.1)).step(net)
+            SGD().step(net, 0.1)
 
     def test_deterministic_updates_on_real_net(self):
         def run():
             rng = np.random.default_rng(3)
             net = models.build_mnist("maxmin", filters=(2, 2, 2), seed=9)
-            opt = SGD(SGDConfig(0.01, 0.9, 1e-3))
+            opt = SGD(0.9, 1e-3)
             for _ in range(3):
                 x = rng.random((4, 1, 32, 32))
                 y = rng.integers(0, 10, 4)
                 net.zero_grads()
                 net.loss(x, y, train=True)
                 net.backward()
-                opt.step(net)
+                opt.step(net, 0.01)
             return np.concatenate([v.reshape(-1) for _, _, v, _ in net.params()])
 
         np.testing.assert_array_equal(run(), run())
@@ -107,8 +107,8 @@ class TestPlateauSchedule:
         with pytest.raises(ValueError):
             PlateauScheduler(0.01, factor=1.5)
         with pytest.raises(ValueError):
-            SGDConfig(-1.0)
+            PlateauScheduler(-1.0)
         with pytest.raises(ValueError):
-            SGDConfig(0.1, momentum=1.0)
+            SGD(momentum=1.0)
         with pytest.raises(ValueError):
-            SGDConfig(0.1, weight_decay=-0.1)
+            SGD(weight_decay=-0.1)

@@ -78,6 +78,14 @@ class TestTrainLoop:
         for (_, _, v, _), b in zip(net.params(), before):
             np.testing.assert_array_equal(v, b)
 
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", 0.0), ("momentum", 1.0), ("weight_decay", -0.1),
+        ("patience", 0), ("lr_factor", 1.5),
+    ])
+    def test_bad_optimiser_setting_fails_at_construction(self, field, value):
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=1, **{field: value})
+
     def test_smoke_run_loss_decreases(self):
         data = synthetic_data(10, seed=2)
         net = tiny_net(seed=2)
@@ -161,9 +169,9 @@ class TestEvaluate:
 
         data = synthetic_data(30, seed=10)
         global labels_batch
-        # evaluate() batches internally; feed it all at once
+        # 30 images fit in one evaluate() batch, so the oracle sees them all at once
         labels_batch = data.labels
-        assert evaluate(Oracle(), data, batch_size=30) == 1.0
+        assert evaluate(Oracle(), data) == 1.0
 
     def test_constant_logits_tie_rule(self):
         class Constant:
