@@ -5,6 +5,7 @@ batches) and never download; see the README for fetch instructions.
 All loading is bit-exact: the same files always produce the same arrays.
 """
 import dataclasses
+import os
 import struct
 
 import numpy as np
@@ -60,8 +61,9 @@ def load_mnist(images_path, labels_path):
             f"expected {off + n * rows * cols} bytes"
         )
     raw = np.frombuffer(blob, dtype=np.uint8, count=n * rows * cols, offset=off)
-    images = raw.reshape(n, 1, rows, cols).astype(np.float64) / 255.0
-    images = np.pad(images, ((0, 0), (0, 0), (2, 2), (2, 2)))
+    # decode straight into the zero-padded result: no full-size temporaries
+    images = np.zeros((n, 1, rows + 4, cols + 4))
+    np.divide(raw.reshape(n, 1, rows, cols), 255.0, out=images[:, :, 2:-2, 2:-2])
 
     with open(labels_path, "rb") as fh:
         lblob = fh.read()
@@ -75,23 +77,30 @@ def load_mnist(images_path, labels_path):
 
 
 def load_cifar10(batch_paths):
-    """Load CIFAR-10 binary batches (1 label byte + 3072 planar RGB bytes)."""
-    all_images, all_labels = [], []
-    for path in batch_paths:
+    """Load CIFAR-10 binary batches (1 label byte + 3072 planar RGB bytes).
+
+    The batches decode one at a time into a single result sized from the
+    file sizes, so no batch is held twice.
+    """
+    sizes = [os.path.getsize(path) for path in batch_paths]
+    images = np.empty((sum(sizes) // CIFAR_RECORD_BYTES, 3, 32, 32))
+    labels = np.empty(len(images), np.int64)
+    start = 0
+    for path, size in zip(batch_paths, sizes):
         with open(path, "rb") as fh:
-            blob = fh.read()
+            blob = fh.read(size)
         if len(blob) == 0 or len(blob) % CIFAR_RECORD_BYTES != 0:
             raise DataError(
                 f"{path}: size {len(blob)} is not a multiple of {CIFAR_RECORD_BYTES}"
             )
         records = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        labels = records[:, 0].astype(np.int64)
-        if labels.max() > 9:
-            raise DataError(f"{path}: label byte {labels.max()} out of range [0, 9]")
-        images = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float64) / 255.0
-        all_images.append(images)
-        all_labels.append(labels)
-    return LabeledImages(np.concatenate(all_images), np.concatenate(all_labels))
+        if records[:, 0].max() > 9:
+            raise DataError(f"{path}: label byte {records[:, 0].max()} out of range [0, 9]")
+        batch = slice(start, start + len(records))
+        labels[batch] = records[:, 0]
+        np.divide(records[:, 1:].reshape(-1, 3, 32, 32), 255.0, out=images[batch])
+        start = batch.stop
+    return LabeledImages(images[:start], labels[:start])
 
 
 def split_train_val(data, val_fraction, seed):

@@ -4,6 +4,8 @@ Every layer caches its forward input and exposes accumulated parameter
 gradients through ``params()``. A layer instance is single-threaded:
 forward and backward mutate the caches, never their inputs.
 """
+import math
+
 import numpy as np
 
 from .errors import ConfigError, LayerStateError, ShapeError
@@ -240,10 +242,24 @@ class MaxPool(Layer):
     Output size is ceil((H - window)/stride) + 1; the last window along
     each axis clamps to the input edge, which preserves the 32->16->8->4
     progression for 3x3 windows at stride 2. The max is separable, over
-    each window's columns and then its rows, one strided slice per tap.
-    Ties go to the first max in row-major window order; each output
-    keeps that tap's row-major index in its window (one byte up to 16x16
-    windows) as the route of its gradient.
+    each window's columns and then its rows, one contiguous array per tap
+    (see ``_taps``). Ties go to the first max in row-major window order;
+    each output keeps that tap's row-major index in its window (one byte
+    up to 16x16 windows) as the route of its gradient.
+
+    ``forward(x, signed=True)`` stands for a MaxMin, ReLU, MaxPool chain
+    on x's C channels. Per window, pool(relu([x | -x])) equals
+    [relu(maxpool x) | relu(-minpool x)], so it pools the window max and
+    the window min of x from the same taps and returns the chain's 2C
+    maps, byte for byte. An output pooled to 0 routes to tap 0 with a
+    zero gradient, where the chain's ReLU mask zeroed it; the min half's
+    gradient changes sign, as MaxMin's backward does. ``Network`` calls
+    each such run this way.
+
+    Only a training forward tracks routes. Any other forward computes
+    window values alone; ``backward`` and ``kink_signature`` compute the
+    routes from the cached input when first asked, which only the
+    gradient check does.
     """
 
     def __init__(self, window=3, stride=2):
@@ -251,64 +267,147 @@ class MaxPool(Layer):
             raise ConfigError(f"MaxPool: invalid window {window} / stride {stride}")
         self.window = window
         self.stride = stride
-        self._cache = None
+        self._cache = None  # (x, signed, routes or None until first asked)
 
     def _starts(self, size):
         """First input index of each window along an axis of ``size``."""
         extent = pool_out_size(size, self.window, self.stride)
         return np.minimum(np.arange(extent) * self.stride, size - 1)
 
-    def _first_max(self, x, axis, inner=None):
-        """Window max along ``axis`` and the label of its first maximum.
+    def _taps(self, x, axis):
+        """Tap t of every window along ``axis``, for each t in range(window).
 
-        Tap t's label is t, or t * window + inner (the tap chosen along the
-        other axis). Labels grow with t; a strict < keeps the earlier tap.
+        Tap t is an array shaped like x but with p = windows +
+        (window - 1) // stride slots along ``axis``; slot j holds tap t of
+        window j, and slots from the window count on are scratch. x is
+        copied once into its stride phases (slot j of phase r holds
+        x[j * stride + r]), and tap q * stride + r is phase r shifted by q
+        slots, so every tap is a contiguous array: numpy runs each compare
+        and max over it as one loop rather than one per row. A window that
+        does not reach a tap reads there the axis's last element, a tap it
+        already had, which a strict comparison never picks; an edge-clamped
+        window reads it at every tap.
         """
         k, s, size = self.window, self.stride, x.shape[axis]
-        starts = self._starts(size)
-        best = np.take(x, starts, axis=axis)
-        route = (np.zeros(best.shape, np.min_scalar_type(k * k - 1)) if inner is None
-                 else np.take(inner, starts, axis=axis))
-        tap = route.dtype.type
-        at = [slice(None)] * x.ndim
-        for t in range(1, k):
-            m = min(len(starts), (size - 1 - t) // s + 1)  # windows that reach tap t
-            at[axis] = slice(t, t + s * (m - 1) + 1, s)
+        windows = pool_out_size(size, k, s)
+        p = windows + (k - 1) // s
+        shape = x.shape[:axis] + (p,) + x.shape[axis + 1:]
+        inner = math.prod(shape[axis + 1:])
+        count = math.prod(shape)
+        at, edge = [slice(None)] * x.ndim, [slice(None)] * x.ndim
+        edge[axis] = slice(size - 1, size)
+        edge = x[tuple(edge)]
+        # one buffer for all phases, zeroed: scratch slots are read, and a
+        # shifted tap of the last phase runs past its end
+        phases = np.zeros(min(s, k) * count + (k - 1) // s * inner, x.dtype)
+        for r in range(min(s, k)):
+            phase = phases[r * count:(r + 1) * count].reshape(shape)
+            m = min(p, (size - 1 - r) // s + 1)  # slots of phase r inside the axis
+            at[axis] = slice(r, r + s * (m - 1) + 1, s)
             src = x[tuple(at)]
-            label = tap(t) if inner is None else inner[tuple(at)] + tap(t * k)
             at[axis] = slice(0, m)
-            dst, won = best[tuple(at)], route[tuple(at)]
-            upd = dst < src
-            # a NaN propagates; on a -0/+0 tie numpy's x86 max returns its
-            # second operand, so dst, the earlier tap, keeps its sign
-            np.maximum(src, dst, out=dst)
-            np.maximum(won, upd * label, out=won)
+            phase[tuple(at)] = src
+            # window j reads phase r up to slot j + (k - 1 - r) // s
+            if m < windows + (k - 1 - r) // s:
+                at[axis] = slice(m, windows + (k - 1 - r) // s)
+                phase[tuple(at)] = edge
+        return [phases[(t % s) * count + t // s * inner:][:count].reshape(shape)
+                for t in range(k)]
+
+    def _first(self, taps, lowest=False, inner=None, routes=True):
+        """Each slot's max (min if ``lowest``) over ``taps``, and the label of its first extreme.
+
+        Tap t's label is t, or t * window + inner[t] (the tap chosen along
+        the other axis). Labels grow with t; a strict comparison keeps the
+        earlier tap. Without ``routes`` the label is None.
+        """
+        k = self.window
+        best = taps[0].copy()
+        route = None
+        if routes:
+            route = (np.zeros(best.shape, np.min_scalar_type(k * k - 1)) if inner is None
+                     else inner[0].copy())
+            tap = route.dtype.type
+        beats, keep = (np.less, np.minimum) if lowest else (np.greater, np.maximum)
+        for t in range(1, k):
+            src = taps[t]
+            if route is not None:
+                label = tap(t) if inner is None else inner[t] + tap(t * k)
+                np.maximum(route, beats(src, best) * label, out=route)
+            # a NaN propagates; on a -0/+0 tie numpy's x86 max and min return
+            # their second operand, so best, the earlier tap, keeps its sign
+            keep(src, best, out=best)
         return best, route
 
-    def forward(self, x, train=False):
-        # columns first, then rows: the first max in row-major order wins
-        cols, col_route = self._first_max(x, 3)
-        out, route = self._first_max(cols, 2, col_route)
-        self._cache = (x.shape, route)
+    def _pool(self, columns, shape, lowest, routes):
+        """Window max (min if ``lowest``) and its route, from the column taps of x.
+
+        ``shape`` is x's shape. Columns first, then rows: the first extreme
+        in row-major order wins.
+        """
+        ho, wo = (pool_out_size(size, self.window, self.stride) for size in shape[2:])
+        cols, col_route = self._first(columns, lowest, routes=routes)
+        inner = self._taps(col_route[..., :wo], 2) if routes else None
+        out, route = self._first(self._taps(cols[..., :wo], 2), lowest, inner, routes)
+        return out[:, :, :ho], (route[:, :, :ho] if routes else None)
+
+    def _run(self, x, signed, routes):
+        """The pooled output, and with ``routes`` each output's (route, gradient sign)."""
+        columns = self._taps(x, 3)  # both halves pool the same taps
+        hi, route = self._pool(columns, x.shape, False, routes)
+        if not signed:
+            return np.ascontiguousarray(hi), (route, None) if routes else None
+        lo, lo_route = self._pool(columns, x.shape, True, routes)
+        out = np.concatenate((hi, -lo), axis=1)
+        np.maximum(out, 0, out=out)  # a -0 tie returns the second operand, +0
+        if not routes:
+            return out, None
+        # the chain's ReLU passes a gradient where a half pooled a value > 0;
+        # the min half's gradient changes sign, as MaxMin's backward does
+        active = np.concatenate((hi > 0, lo < 0), axis=1)
+        sign = active.astype(np.int8)
+        sign[:, hi.shape[1]:] *= -1
+        return out, (np.concatenate((route, lo_route), axis=1) * active, sign)
+
+    def forward(self, x, train=False, signed=False):
+        out, routes = self._run(x, signed, routes=train)
+        self._cache = (x, signed, routes)
         return out
+
+    def _routes(self):
+        x, signed, routes = self._cache
+        if routes is None:
+            routes = self._run(x, signed, routes=True)[1]
+            self._cache = (x, signed, routes)
+        return routes
 
     def backward(self, grad_out):
         self._require_forward(self._cache)
-        x_shape, route = self._cache
+        route, sign = self._routes()
         if grad_out.shape != route.shape:
             raise ShapeError(f"MaxPool backward: grad shape {grad_out.shape} != {route.shape}")
-        n, c, h, w = x_shape
+        n, c, h, w = self._cache[0].shape
         k = self.window
-        # flat input index of each output's routed tap, in output order
+        # flat input index of each output's routed tap, in output order; a
+        # signed pool's two halves both route into x's C channels
         src = np.add.outer(np.arange(k) * w, np.arange(k)).reshape(-1)[route]
-        src += (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
+        planes = np.arange(n)[:, None] * c + np.arange(route.shape[1]) % c
+        src += (planes * (h * w)).reshape(n, -1, 1, 1)
         src += (self._starts(h) * w)[:, None] + self._starts(w)
-        dx = np.zeros(x_shape, dtype=grad_out.dtype)
-        np.add.at(dx.reshape(-1), src.reshape(-1), grad_out.reshape(-1))
+        dx = np.zeros((n, c, h, w), dtype=grad_out.dtype)
+        np.add.at(dx.reshape(-1), src.reshape(-1),
+                  (grad_out if sign is None else grad_out * sign).reshape(-1))
         return dx
 
     def kink_signature(self):
-        return self._cache[1].tobytes() if self._cache is not None else b""
+        """The routes; a signed pool's are preceded by the chain's packed ReLU mask."""
+        if self._cache is None:
+            return b""
+        x, signed, _ = self._cache
+        route = self._routes()[0].tobytes()
+        if not signed:
+            return route
+        return np.packbits(np.concatenate((x > 0, x < 0), axis=1)).tobytes() + route
 
 
 class LRN(Layer):

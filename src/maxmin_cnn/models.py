@@ -36,17 +36,35 @@ class NetworkSpec:
 
 
 class Network:
-    """Sequential layer stack with a softmax cross-entropy head."""
+    """Sequential layer stack with a softmax cross-entropy head.
+
+    ``steps`` lists the calls a forward makes, as (index of the first
+    layer covered, layer, forward keyword arguments). Each MaxMin, ReLU,
+    MaxPool run is one call, its MaxPool's with ``signed=True``: the
+    pool takes the MaxMin's C-channel input and returns the chain's 2C
+    maps (see ``MaxPool``). The run's MaxMin and ReLU stay in ``layers``
+    but are not called.
+    """
 
     def __init__(self, spec, layer_objs, seed):
         self.spec = spec
         self.layers = layer_objs
         self.seed = seed
         self.loss_layer = L.SoftmaxCrossEntropy()
+        self.steps = []
+        i = 0
+        while i < len(layer_objs):
+            run = layer_objs[i:i + 3]
+            if len(run) == 3 and all(map(isinstance, run, (L.MaxMin, L.ReLU, L.MaxPool))):
+                self.steps.append((i, run[2], {"signed": True}))
+                i += 3
+            else:
+                self.steps.append((i, layer_objs[i], {}))
+                i += 1
 
     def forward(self, x, train=False):
-        for layer in self.layers:
-            x = layer.forward(x, train=train)
+        for _, layer, kwargs in self.steps:
+            x = layer.forward(x, train=train, **kwargs)
         return x
 
     def loss(self, x, labels, train=False):
@@ -62,9 +80,9 @@ class Network:
         Conv2D (conv1 of every preset) skips forming it.
         """
         g = self.loss_layer.backward()
-        for layer in reversed(self.layers[1:]):
+        for _, layer, _ in reversed(self.steps[1:]):
             g = layer.backward(g)
-        first = self.layers[0]
+        first = self.steps[0][1]
         if isinstance(first, L.Conv2D):
             return first.backward(g, input_grad=input_grad)
         return first.backward(g)

@@ -233,32 +233,35 @@ def grad_check(net, x, labels, tolerance=1e-4, step=1e-5, samples_per_layer=200,
 
     Samples up to ``samples_per_layer`` scalar entries from every
     parameter tensor and from the input and perturbs each by +-step.
-    One clean forward records every layer's input; a perturbed parameter
-    of layer k then replays only layers k.. from that recorded input
-    (the network input replays them all). The layers before k would
-    recompute bit-identical outputs, since no layer changes its input,
-    so every loss equals that of a full forward. Kink signatures are
-    joined over the replayed layers only: the others are unchanged.
+    One clean forward records the input of every call in ``net.steps``;
+    a perturbed parameter of layer k then replays only the calls from
+    layer k on, from that recorded input (the network input replays them
+    all). The calls before k would recompute bit-identical outputs, since
+    no layer changes its input, so every loss equals that of a full
+    forward. Kink signatures are joined over the replayed calls only: the
+    others are unchanged.
     """
     rng = np.random.default_rng(seed)
     x = np.ascontiguousarray(x)
     net.zero_grads()
-    inputs = [x]  # inputs[k]: layer k's input in the clean forward; x is perturbed in place
-    for layer in net.layers:
-        inputs.append(layer.forward(inputs[-1], train=False))
-    net.loss_layer.forward(inputs.pop(), labels)
+    inputs = {}  # inputs[k]: layer k's input in the clean forward; x is perturbed in place
+    h = x
+    for i, layer, kwargs in net.steps:
+        inputs[i] = h
+        h = layer.forward(h, train=False, **kwargs)
+    net.loss_layer.forward(h, labels)
     dx = net.backward()
     targets = [(i, name, p, g.copy()) for i, name, p, g in net.params()]
     targets.append((-1, "input", x, dx))
 
     def replay(layer_idx):
         start = max(layer_idx, 0)  # the input (-1) replays every layer
-        suffix = net.layers[start:]
+        suffix = [(layer, kwargs) for i, layer, kwargs in net.steps if i >= start]
         h = inputs[start]
-        for layer in suffix:
-            h = layer.forward(h, train=False)
+        for layer, kwargs in suffix:
+            h = layer.forward(h, train=False, **kwargs)
         loss, _ = net.loss_layer.forward(h, labels)
-        return loss, b"".join(layer.kink_signature() for layer in suffix)
+        return loss, b"".join(layer.kink_signature() for layer, _ in suffix)
 
     return _check_entries(replay, targets, tolerance, step, samples_per_layer, rng)
 

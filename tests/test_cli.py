@@ -76,6 +76,23 @@ class TestParams:
         assert out.startswith("config: {")
         assert '"arch": "maxmin"' in out
 
+    @pytest.mark.parametrize("flags,lines", [
+        (["--dataset", "mnist"], ["layer 0 conv: 1664", "layer 5 conv: 204864",
+                                  "layer 10 conv: 204864", "layer 16 dense: 20490",
+                                  "total: 431882"]),
+        (["--dataset", "cifar10"], ["layer 0 conv: 2432", "layer 4 conv: 51232",
+                                    "layer 8 conv: 102464", "layer 13 dense: 131136",
+                                    "layer 15 dense: 650", "total: 287914"]),
+        (["--dataset", "cifar10", "--boost"], ["layer 0 conv: 2432", "layer 5 conv: 51232",
+                                               "layer 10 conv: 102464",
+                                               "layer 17 dense: 131136",
+                                               "layer 20 dense: 650", "total: 287914"]),
+    ], ids=["mnist", "cifar10", "cifar10-boost"])
+    def test_maxmin_layer_indices_are_pinned(self, flags, lines, capsys):
+        """Parameter indices count the MaxMin and ReLU that a signed pool stands for."""
+        assert cli.main(["params", "--arch", "maxmin"] + flags) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == lines
+
 
 class TestValidation:
     def test_invalid_filters_exit_2(self, capsys):

@@ -412,6 +412,35 @@ def test_maxpool_matches_loop_oracle(case):
     assert out[~nan].tobytes() == ref[~nan].tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(pool_cases())
+def test_signed_pool_is_the_maxmin_relu_maxpool_chain(case):
+    window, stride, x, seed = case
+    chain = [L.MaxMin(), L.ReLU(), L.MaxPool(window, stride)]
+    ref = x
+    for layer in chain:
+        ref = layer.forward(ref, train=True)
+    g = np.random.default_rng(seed).standard_normal(ref.shape).astype(x.dtype)
+    ref_dx = g
+    for layer in reversed(chain):
+        ref_dx = layer.backward(ref_dx)
+    ref_sig = b"".join(layer.kink_signature() for layer in chain)
+
+    results = []
+    for train in (True, False):
+        pool = L.MaxPool(window, stride)
+        out = pool.forward(x, train=train, signed=True)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+        assert (pool._cache[2] is None) == (not train)  # an eval forward tracks no route
+        dx = pool.backward(g)
+        # only the sign of a zero may differ: the chain subtracts its halves
+        assert dx.dtype == ref_dx.dtype and np.array_equal(dx, ref_dx)
+        sig = pool.kink_signature()
+        assert sig == ref_sig
+        results.append((dx.tobytes(), sig))
+    assert results[0] == results[1]
+
+
 class TestLRN:
     def test_alpha_zero_is_rescale(self):
         x = rng.standard_normal((1, 4, 3, 3))

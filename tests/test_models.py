@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maxmin_cnn import layers as L
 from maxmin_cnn import models
 from maxmin_cnn.errors import ConfigError, WeightFileError
 from maxmin_cnn.layers import Conv2D, Dense
@@ -114,6 +115,79 @@ class TestPresets:
         ])
         with pytest.raises(ConfigError):
             models.build_network(spec)
+
+
+MAXMIN_SPECS = {
+    "mnist": models.preset_spec("mnist", "maxmin", (2, 2, 2)),
+    "cifar10": models.preset_spec("cifar10", "maxmin", (2, 2, 2)),
+    "cifar10-boost": models.preset_spec("cifar10", "maxmin", (2, 2, 2), boost=True),
+}
+LAYER_KINDS = {L.Conv2D: "conv", L.MaxMin: "maxmin", L.ReLU: "relu", L.MaxPool: "pool",
+               L.LRN: "lrn", L.Flatten: "flatten", L.Dense: "dense", L.Dropout: "dropout"}
+
+
+class TestSignedRuns:
+    """A network calls each MaxMin, ReLU, MaxPool run as its MaxPool with signed=True."""
+
+    @pytest.mark.parametrize("name", sorted(MAXMIN_SPECS))
+    def test_runs_never_call_their_maxmin_or_relu(self, name, monkeypatch):
+        spec = MAXMIN_SPECS[name]
+        net = models.build_network(spec, seed=3)
+        called = []
+        for cls in (L.MaxMin, L.ReLU):
+            for attr in ("forward", "backward"):
+                def spy(self, *args, _original=getattr(cls, attr), **kwargs):
+                    called.append(self)
+                    return _original(self, *args, **kwargs)
+                monkeypatch.setattr(cls, attr, spy)
+        x = np.random.default_rng(3).random((2,) + spec.input_shape)
+        for train in (True, False):
+            net.loss(x, np.array([1, 4]), train=train)
+            net.backward()
+        # only a ReLU after a Dense, outside every run, is called
+        dense_relus = [b for a, b in zip(net.layers, net.layers[1:]) if isinstance(a, Dense)]
+        assert all(any(layer is r for r in dense_relus) for layer in called)
+        assert len(called) == 4 * len(dense_relus)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", sorted(MAXMIN_SPECS))
+    def test_matches_calling_every_layer(self, name, dtype):
+        spec = MAXMIN_SPECS[name]
+        fused, chained = (models.build_network(spec, seed=5, dtype=dtype) for _ in range(2))
+        x = np.random.default_rng(5).random((3,) + spec.input_shape).astype(dtype)
+        y = np.array([0, 3, 9])
+        loss, _ = fused.loss(x, y, train=True)
+        dx = fused.backward()
+        h = x
+        for layer in chained.layers:
+            h = layer.forward(h, train=True)
+        ref_loss, _ = chained.loss_layer.forward(h, y)
+        g = chained.loss_layer.backward()
+        for layer in reversed(chained.layers):
+            g = layer.backward(g)
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert np.array_equal(dx, g)
+        for (_, _, _, a), (_, _, _, b) in zip(fused.params(), chained.params()):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", sorted(MAXMIN_SPECS))
+    def test_layers_and_param_indices_follow_the_spec(self, name):
+        spec = MAXMIN_SPECS[name]
+        net = models.build_network(spec)
+        assert [LAYER_KINDS[type(layer)] for layer in net.layers] == [
+            d["kind"] for d in spec.layers]
+        assert sorted({i for i, _, _, _ in net.params()}) == [
+            i for i, d in enumerate(spec.layers) if d["kind"] in ("conv", "dense")]
+        assert [(i, kwargs) for i, _, kwargs in net.steps if kwargs] == [
+            (i, {"signed": True}) for i, d in enumerate(spec.layers) if d["kind"] == "maxmin"]
+
+    @pytest.mark.parametrize("spec", [
+        models.preset_spec("mnist", "baseline"), models.preset_spec("cifar10", "baseline"),
+        models.preset_spec("cifar10", "baseline", boost=True),
+    ], ids=["mnist", "cifar10", "cifar10-boost"])
+    def test_baseline_nets_call_every_layer_plainly(self, spec):
+        net = models.build_network(spec)
+        assert net.steps == [(i, layer, {}) for i, layer in enumerate(net.layers)]
 
 
 class TestParamCount:
