@@ -12,6 +12,7 @@ import numpy as np
 
 from . import data as D
 from . import models
+from .models import build_net
 from .errors import ConfigError, DataError, DivergenceError, MaxMinError
 from .train import TrainConfig, evaluate, grad_check, train
 
@@ -70,11 +71,6 @@ def load_dataset(name, data_dir, train_subset=None, seed=0):
             raise ConfigError(f"{len(full)} training images leave the {role} split empty: "
                               "10% of them, rounded, is held out for validation")
     return train_split, val_split, test
-
-
-def build_net(dataset, arch, filters=None, boost=False, seed=0, dtype=np.float64):
-    spec = models.preset_spec(dataset, arch, filters, boost)
-    return models.build_network(spec, seed=seed, dtype=dtype)
 
 
 def cmd_train(args):

@@ -9,6 +9,7 @@ import os
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -41,7 +42,7 @@ def _read_idx_header(blob, path, magic, ndim):
     need = 4 * (1 + ndim)
     if len(blob) < need:
         raise DataError(f"{path}: truncated IDX header at byte {len(blob)}")
-    fields = struct.unpack_from(f">{1 + ndim}i", blob, 0)
+    fields = struct.unpack_from(f">{1 + ndim}I", blob, 0)
     if fields[0] != magic:
         raise DataError(f"{path}: bad IDX magic {fields[0]:#010x}, expected {magic:#010x}")
     return fields[1:], need
@@ -119,10 +120,10 @@ def augment(images, rng, max_translate=4, hflip=True):
     if max_translate > 0:
         m = max_translate
         padded = np.pad(images, ((0, 0), (0, 0), (m, m), (m, m)))
-        shifts = rng.integers(-m, m + 1, size=(n, 2))
-        out = np.empty_like(images)
-        for i, (dy, dx) in enumerate(shifts):
-            out[i] = padded[i, :, m - dy:m - dy + h, m - dx:m - dx + w]
+        # a shift of (dy, dx) reads the padded window whose corner is (m - dy, m - dx)
+        top, left = (m - rng.integers(-m, m + 1, size=(n, 2))).T
+        windows = sliding_window_view(padded, (h, w), axis=(2, 3))
+        out = windows[np.arange(n), :, top, left]
     if hflip:
         flip = rng.random(n) < 0.5
         out = out.copy() if out is images else out
@@ -147,9 +148,14 @@ def zca_fit(train_images, epsilon=0.1):
     mean = flat.mean(axis=0)
     centered = flat - mean
     cov = centered.T @ centered / n
+    del centered  # eigh's workspace is the peak; do not hold an image-sized copy under it
     if np.allclose(cov, 0.0):
         raise DataError("degenerate covariance: all training images are identical")
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    dtype = cov.dtype
+    # eigh works in float64 whatever it is given; converting here rather than
+    # inside eigh lets a float32 covariance go before eigh allocates its workspace
+    cov = cov.astype(np.float64, copy=False)
+    eigvals, eigvecs = (a.astype(dtype, copy=False) for a in np.linalg.eigh(cov))
     eigvals = np.maximum(eigvals, 0.0)
     matrix = (eigvecs * (1.0 / np.sqrt(eigvals + epsilon))) @ eigvecs.T
     return ZcaTransform(mean=mean, matrix=matrix, epsilon=epsilon)

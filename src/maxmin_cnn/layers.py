@@ -432,38 +432,39 @@ class LRN(Layer):
         self._cache = None
 
     def _window_sum(self, q):
-        s = np.zeros_like(q)
-        c = q.shape[1]
+        """Sum of q over each channel's window, clipped at its group's edges."""
+        shape = q.shape
+        # (N, groups, channels per group, ...): each window runs along axis 2 alone
+        q = q.reshape(shape[:1] + (self.groups, shape[1] // self.groups) + shape[2:])
+        s = np.zeros(q.shape, q.dtype)
+        gc = q.shape[2]
         for d in range(-self.radius, self.radius + 1):
             if d >= 0:
-                s[:, :c - d] += q[:, d:]
+                s[:, :, :gc - d] += q[:, :, d:]
             else:
-                s[:, -d:] += q[:, :c + d]
-        return s
+                s[:, :, -d:] += q[:, :, :gc + d]
+        return s.reshape(shape)
 
     def forward(self, x, train=False):
         if x.shape[1] % self.groups != 0:
             raise ShapeError(f"LRN: {x.shape[1]} channels not divisible into {self.groups} groups")
-        parts, cache = [], []
-        gc = x.shape[1] // self.groups
-        for g in range(self.groups):
-            xg = x[:, g * gc:(g + 1) * gc]
-            denom = self.k + self.alpha * self._window_sum(xg * xg)
-            dpow = denom ** (-self.beta)
-            parts.append(xg * dpow)
-            cache.append((xg, denom, dpow))
-        self._cache = cache
-        return np.concatenate(parts, axis=1) if self.groups > 1 else parts[0]
+        denom = self.k + self.alpha * self._window_sum(x * x)
+        dpow = denom ** (-self.beta)
+        self._cache = (x, denom, dpow)
+        return x * dpow
 
     def backward(self, grad_out):
         self._require_forward(self._cache)
-        parts = []
-        gc = grad_out.shape[1] // self.groups
-        for g, (xg, denom, dpow) in enumerate(self._cache):
-            gg = grad_out[:, g * gc:(g + 1) * gc]
-            t = gg * xg * dpow / denom
-            parts.append(gg * dpow - 2.0 * self.alpha * self.beta * xg * self._window_sum(t))
-        return np.concatenate(parts, axis=1) if self.groups > 1 else parts[0]
+        x, denom, dpow = self._cache
+        # in place, so at most two full-size temporaries are live at once
+        t = grad_out * x
+        t *= dpow
+        t /= denom
+        t = self._window_sum(t)
+        t *= x * (2.0 * self.alpha * self.beta)
+        out = grad_out * dpow
+        out -= t
+        return out
 
 
 class Flatten(Layer):

@@ -206,12 +206,9 @@ def preset_spec(dataset, arch="baseline", filters=None, boost=False):
     return spec
 
 
-def build_mnist(kind="baseline", filters=None, seed=0, dtype=np.float64):
-    return build_network(preset_spec("mnist", kind, filters), seed=seed, dtype=dtype)
-
-
-def build_cifar(kind="baseline", filters=None, boost=False, seed=0, dtype=np.float64):
-    return build_network(preset_spec("cifar10", kind, filters, boost), seed=seed, dtype=dtype)
+def build_net(dataset, arch="baseline", filters=None, boost=False, seed=0, dtype=np.float64):
+    """Instantiate ``preset_spec(dataset, arch, filters, boost)`` with seeded weights."""
+    return build_network(preset_spec(dataset, arch, filters, boost), seed=seed, dtype=dtype)
 
 
 MATCH_TOLERANCE = 0.15
@@ -226,7 +223,7 @@ def matched_maxmin_filters(base_filters):
     no scale lands within ``MATCH_TOLERANCE`` relative difference.
     """
     def count(arch, filters):
-        return build_network(preset_spec("cifar10", arch, filters)).param_count()
+        return build_net("cifar10", arch, filters).param_count()
 
     target = count("baseline", base_filters)
     scaled = (tuple(max(1, round(f * pct / 100)) for f in base_filters) for pct in range(40, 101))
@@ -335,8 +332,11 @@ def save_weights(net, path):
 def load_weights(path, spec, seed=0, dtype=np.float64):
     """Rebuild a network for ``spec`` and fill it from a weight file."""
     net = build_network(spec, seed=seed, dtype=dtype)
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise WeightFileError(f"{path}: cannot read weight file: {exc.strerror}") from exc
     if blob[:8] != MAGIC:
         raise WeightFileError(f"{path}: not a weight file (bad magic)")
     if blob[8:16] != spec.spec_hash():

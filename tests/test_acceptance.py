@@ -58,7 +58,7 @@ class TestCriterion1GradientChecks:
 
     @pytest.mark.parametrize("kind", ["baseline", "maxmin"])
     def test_full_mnist_preset(self, kind):
-        net = models.build_mnist(kind, seed=1)
+        net = models.build_net("mnist", kind, seed=1)
         r = np.random.default_rng(1)
         x = r.random((2, 1, 32, 32))
         y = r.integers(0, 10, 2)
@@ -117,7 +117,7 @@ class TestCriterion2MaxMinAlgebra:
 
 class TestCriterion3Reduction:
     def test_zeroed_maxmin_matches_baseline_logits(self):
-        net = models.build_mnist("maxmin", seed=3)
+        net = models.build_net("mnist", "maxmin", seed=3)
         reduced, baseline = models.reduce_to_baseline(net)
         worst = 0.0
         r = np.random.default_rng(3)
@@ -150,7 +150,7 @@ class TestCriterion5Determinism:
         train_split, val_split = split_train_val(subset, 0.1, seed=5)
 
         def run():
-            net = models.build_mnist("maxmin", filters=(4, 4, 4), seed=5)
+            net = models.build_net("mnist", "maxmin", filters=(4, 4, 4), seed=5)
             config = TrainConfig(epochs=2, batch_size=32, seed=5, learning_rate=0.01)
             net, metrics = train(net, train_split, val_split, config)
             weights = np.concatenate([v.reshape(-1) for _, _, v, _ in net.params()])
@@ -176,7 +176,7 @@ class TestCriterion6DeskScaleTraining:
         train_split, val_split = split_train_val(subset, 0.05, seed=6)
         accs = {}
         for kind in ("baseline", "maxmin"):
-            net = models.build_mnist(kind, seed=6, dtype=np.float32)
+            net = models.build_net("mnist", kind, seed=6, dtype=np.float32)
             config = TrainConfig(epochs=5, batch_size=64, seed=6, learning_rate=0.01,
                                  weight_decay=1e-3)
             net, _ = train(net, train_split, val_split, config)
@@ -188,11 +188,11 @@ class TestCriterion6DeskScaleTraining:
 
 
 class TestCriterion7InitializationSanity:
-    @pytest.mark.parametrize("dataset,builder,shape", [
-        ("mnist", models.build_mnist, (1, 32, 32)),
-        ("cifar10", models.build_cifar, (3, 32, 32)),
+    @pytest.mark.parametrize("dataset,shape", [
+        ("mnist", (1, 32, 32)),
+        ("cifar10", (3, 32, 32)),
     ])
-    def test_initial_loss_near_ln10(self, dataset, builder, shape):
+    def test_initial_loss_near_ln10(self, dataset, shape):
         paths = _mnist_paths() if dataset == "mnist" else None
         if paths:
             data = load_mnist(paths[0], paths[1]).subset(np.arange(256))
@@ -200,7 +200,7 @@ class TestCriterion7InitializationSanity:
             data = _synthetic(256, shape, seed=7)
         worst = 0.0
         for kind in ("baseline", "maxmin"):
-            net = builder(kind, seed=7)
+            net = models.build_net(dataset, kind, seed=7)
             loss, _ = net.loss(data.images, data.labels)
             worst = max(worst, abs(loss - np.log(10)) / np.log(10))
         _report(f"7. init loss within 5% of ln 10 ({dataset}, dev {worst:.3%})",

@@ -206,11 +206,31 @@ class TestValidation:
         assert f"leave the {role} split empty" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_idx_count_past_2_31_exit_3(self, mnist_dir, capsys):
+        """The unsigned count fails the truncation check; read signed it was negative (exit 2)."""
+        path = mnist_dir / "train-images-idx3-ubyte"
+        path.write_bytes(struct.pack(">4I", D.IDX_IMAGES_MAGIC, 0xFFFFFFFF, 28, 28) + bytes(784))
+        code = cli.main(["train", "--dataset", "mnist", "--epochs", "1",
+                         "--data-dir", str(mnist_dir)])
+        assert code == 3
+        assert f"{path}: truncated image payload" in capsys.readouterr().err
+
+    def test_eval_missing_weights_exit_3(self, mnist_dir, capsys):
+        weights = mnist_dir / "absent.bin"
+        code = cli.main(["eval", "--dataset", "mnist", "--weights", str(weights),
+                         "--data-dir", str(mnist_dir)])
+        assert code == 3
+        assert f"data error: {weights}: cannot read weight file" in capsys.readouterr().err
+
     def test_no_data_dir_exit_3(self, monkeypatch):
         monkeypatch.delenv("DATA_DIR", raising=False)
         parser_default_none = cli.main(["train", "--dataset", "mnist",
                                         "--epochs", "1", "--data-dir", ""])
         assert parser_default_none == 3
+
+
+def test_cli_builds_through_models():
+    assert cli.build_net is models.build_net
 
 
 class TestGradcheckCommand:
@@ -254,7 +274,7 @@ class TestTrainEvalRoundTrip:
         for name in test_files:
             shutil.copy(full_dir / name, test_dir / name)
         weights = tmp_path / "best.bin"
-        models.save_weights(cli.build_net(dataset, "maxmin", (2, 2, 2), seed=3), str(weights))
+        models.save_weights(models.build_net(dataset, "maxmin", (2, 2, 2), seed=3), str(weights))
         lines = []
         for data_dir in (full_dir, test_dir):
             assert cli.main(["eval", "--dataset", dataset, "--arch", "maxmin",

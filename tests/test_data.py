@@ -81,6 +81,15 @@ class TestLoadMnist:
         with pytest.raises(DataError, match="labels"):
             D.load_mnist(ip, lp)
 
+    @pytest.mark.parametrize("count", [0x80000000, 0xFFFFFFFF])
+    def test_count_past_2_31_fails_truncation_check(self, mnist_files, tmp_path, count):
+        """IDX header fields are unsigned: such a count once read as negative."""
+        _, lp, _, _ = mnist_files
+        ip = tmp_path / "huge"
+        ip.write_bytes(struct.pack(">4I", D.IDX_IMAGES_MAGIC, count, 28, 28) + bytes(784))
+        with pytest.raises(DataError, match=f"{ip}: truncated image payload"):
+            D.load_mnist(ip, lp)
+
     @pytest.mark.parametrize("rows,cols", [(29, 29), (30, 28)])
     def test_non_28x28_images_rejected(self, mnist_files, tmp_path, rows, cols):
         _, lp, _, _ = mnist_files
@@ -185,6 +194,38 @@ class TestAugment:
         np.testing.assert_array_equal(out[:, :, :-2, :], x[:, :, :-2, :])
         assert not out[:, :, -2:, :].any()  # zero fill swept through this margin
 
+    @staticmethod
+    def per_image_augment(images, rng, max_translate, hflip):
+        """Reference: one slice of the zero-padded batch per image."""
+        n, c, h, w = images.shape
+        out = images
+        if max_translate > 0:
+            m = max_translate
+            padded = np.pad(images, ((0, 0), (0, 0), (m, m), (m, m)))
+            shifts = rng.integers(-m, m + 1, size=(n, 2))
+            out = np.empty_like(images)
+            for i, (dy, dx) in enumerate(shifts):
+                out[i] = padded[i, :, m - dy:m - dy + h, m - dx:m - dx + w]
+        if hflip:
+            flip = rng.random(n) < 0.5
+            out = out.copy() if out is images else out
+            out[flip] = out[flip][:, :, :, ::-1]
+        return out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hflip", [False, True])
+    @pytest.mark.parametrize("max_translate", [0, 3, 4])
+    def test_matches_per_image_reference(self, max_translate, hflip, dtype):
+        x = rng.random((17, 3, 9, 7)).astype(dtype)
+        before = x.tobytes()
+        ref_rng, rng_ = np.random.default_rng(8), np.random.default_rng(8)
+        ref = self.per_image_augment(x, ref_rng, max_translate, hflip)
+        out = D.augment(x, rng_, max_translate=max_translate, hflip=hflip)
+        assert out.dtype == dtype and out.shape == x.shape and out.flags.c_contiguous
+        assert out.tobytes() == ref.tobytes()
+        assert rng_.random() == ref_rng.random()  # same draws, in the same order
+        assert x.tobytes() == before
+
     def test_preserves_shape_and_range(self):
         x = rng.random((10, 3, 8, 8))
         out = D.augment(x, np.random.default_rng(1), max_translate=3, hflip=True)
@@ -221,6 +262,18 @@ class TestZca:
         x = rng.random((500, 1, 3, 3))
         t = D.zca_fit(x, epsilon=0.1)
         assert np.abs(t.matrix - t.matrix.T).max() <= 1e-8
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matrix_matches_eigh_of_the_covariance(self, dtype):
+        """Byte for byte the matrix of an eigh called on the covariance in the input dtype."""
+        x = rng.random((40, 3, 4, 4)).astype(dtype)
+        flat = x.reshape(40, -1)
+        centered = flat - flat.mean(axis=0)
+        eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / 40)
+        ref = (eigvecs * (1.0 / np.sqrt(np.maximum(eigvals, 0.0) + 0.1))) @ eigvecs.T
+        matrix = D.zca_fit(x, epsilon=0.1).matrix
+        assert matrix.dtype == dtype
+        assert matrix.tobytes() == ref.tobytes()
 
     def test_degenerate_covariance(self):
         x = np.ones((10, 1, 3, 3))

@@ -463,12 +463,33 @@ class TestLRN:
             denom = 1.0 + 0.3 * (x[:, lo:hi] ** 2).sum(axis=1)
             np.testing.assert_allclose(out[:, c], x[:, c] * denom ** -0.75, rtol=1e-12)
 
+    @staticmethod
+    def per_half_reference(lrn, x, g):
+        """Reference: each half sliced out, normalized by one expression per pass."""
+        outs, grads = [], []
+        for xg, gg in zip(np.split(x, 2, axis=1), np.split(g, 2, axis=1)):
+            denom = lrn.k + lrn.alpha * L.LRN(lrn.radius)._window_sum(xg * xg)
+            dpow = denom ** (-lrn.beta)
+            t = gg * xg * dpow / denom
+            outs.append(xg * dpow)
+            grads.append(gg * dpow - 2.0 * lrn.alpha * lrn.beta * xg
+                         * L.LRN(lrn.radius)._window_sum(t))
+        return np.concatenate(outs, axis=1), np.concatenate(grads, axis=1)
+
     def test_groups_normalize_independently(self):
-        x = rng.standard_normal((1, 8, 2, 2))
-        grouped = L.LRN(groups=2).forward(x)
-        single = L.LRN(groups=1)
-        np.testing.assert_array_equal(grouped[:, :4], single.forward(x[:, :4]))
-        np.testing.assert_array_equal(grouped[:, 4:], single.forward(x[:, 4:]))
+        """Each half's forward and backward equal a one-group LRN's, byte for byte."""
+        for dtype in (np.float32, np.float64):
+            x = rng.standard_normal((3, 8, 2, 2)).astype(dtype)
+            g = rng.standard_normal(x.shape).astype(dtype)
+            grouped = L.LRN(alpha=0.5, groups=2)
+            out, grad = grouped.forward(x), grouped.backward(g)
+            for half in (slice(0, 4), slice(4, 8)):
+                single = L.LRN(alpha=0.5, groups=1)
+                assert out[:, half].tobytes() == single.forward(x[:, half]).tobytes()
+                assert grad[:, half].tobytes() == single.backward(g[:, half]).tobytes()
+            ref_out, ref_grad = self.per_half_reference(grouped, x, g)
+            assert out.tobytes() == ref_out.tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
 
     def test_gradient_vs_finite_differences(self):
         x = rng.standard_normal((2, 6, 4, 4))

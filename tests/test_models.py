@@ -11,7 +11,7 @@ rng = np.random.default_rng(21)
 
 class TestPresets:
     def test_mnist_baseline_forward(self):
-        net = models.build_mnist("baseline", seed=1)
+        net = models.build_net("mnist", "baseline", seed=1)
         logits = net.forward(rng.random((1, 1, 32, 32)))
         assert logits.shape == (1, 10)
 
@@ -24,7 +24,7 @@ class TestPresets:
         assert out.shape[1] == 128
 
     def test_cifar_baseline_forward(self):
-        net = models.build_cifar("baseline", seed=1)
+        net = models.build_net("cifar10", "baseline", seed=1)
         logits = net.forward(rng.random((2, 3, 32, 32)))
         assert logits.shape == (2, 10)
 
@@ -82,7 +82,7 @@ class TestPresets:
         x = np.random.default_rng(6).random((2, 1, 32, 32))
         grads = []
         for input_grad in (True, False):
-            net = models.build_mnist(kind, filters=(2, 2, 2), seed=6)
+            net = models.build_net("mnist", kind, filters=(2, 2, 2), seed=6)
             net.loss(x, np.array([3, 8]))
             dx = net.backward(input_grad=input_grad)
             assert (dx is None) == (not input_grad)
@@ -90,7 +90,7 @@ class TestPresets:
         assert grads[0] == grads[1]
 
     def test_init_statistics(self):
-        net = models.build_mnist("baseline", seed=3)
+        net = models.build_net("mnist", "baseline", seed=3)
         for _, name, value, _ in net.params():
             if name == "bias":
                 assert not value.any()
@@ -98,8 +98,8 @@ class TestPresets:
                 assert abs(value.std() - 0.01) < 0.002
 
     def test_gaussian_init_is_seeded(self):
-        a = models.build_mnist("maxmin", seed=5)
-        b = models.build_mnist("maxmin", seed=5)
+        a = models.build_net("mnist", "maxmin", seed=5)
+        b = models.build_net("mnist", "maxmin", seed=5)
         for (_, _, va, _), (_, _, vb, _) in zip(a.params(), b.params()):
             np.testing.assert_array_equal(va, vb)
 
@@ -192,12 +192,12 @@ class TestSignedRuns:
 
 class TestParamCount:
     def test_mnist_conv1(self):
-        net = models.build_mnist("baseline")
+        net = models.build_net("mnist", "baseline")
         conv1 = next(l for l in net.layers if isinstance(l, Conv2D))
         assert conv1.weights.size + conv1.bias.size == 1664
 
     def test_cifar_conv1(self):
-        net = models.build_cifar("baseline")
+        net = models.build_net("cifar10", "baseline")
         conv1 = next(l for l in net.layers if isinstance(l, Conv2D))
         assert conv1.weights.size + conv1.bias.size == 2432
 
@@ -207,14 +207,14 @@ class TestParamCount:
         assert models.build_network(spec).param_count() == 0
 
     def test_closed_form_totals(self):
-        net = models.build_network(models.preset_spec("cifar10", "baseline", (32, 32, 64)))
+        net = models.build_net("cifar10", "baseline", (32, 32, 64))
         expect = (32 * (25 * 3 + 1) + 32 * (25 * 32 + 1) + 64 * (25 * 32 + 1)
                   + 64 * (64 * 4 * 4) + 64 + 10 * 64 + 10)
         assert net.param_count() == expect
 
     def test_maxmin_same_filters_costs_more(self):
-        base = models.build_mnist("baseline").param_count()
-        mm = models.build_mnist("maxmin").param_count()
+        base = models.build_net("mnist", "baseline").param_count()
+        mm = models.build_net("mnist", "maxmin").param_count()
         # closed form: convs 2 and 3 double their input depth, fc doubles
         delta = 64 * 25 * 64 + 64 * 25 * 64 + 10 * 64 * 4 * 4
         assert mm == base + delta
@@ -222,8 +222,8 @@ class TestParamCount:
     def test_matched_filters_within_15_percent(self):
         base_filters = (32, 32, 64)
         mm_filters = models.matched_maxmin_filters(base_filters)
-        base = models.build_cifar("baseline", base_filters).param_count()
-        mm = models.build_cifar("maxmin", mm_filters).param_count()
+        base = models.build_net("cifar10", "baseline", base_filters).param_count()
+        mm = models.build_net("cifar10", "maxmin", mm_filters).param_count()
         assert abs(mm - base) / base <= 0.15
 
 
@@ -241,15 +241,15 @@ class TestLoweringRule:
     @pytest.mark.parametrize("dataset,boost", [("mnist", False), ("cifar10", True)],
                              ids=["mnist-maxmin", "cifar10-maxmin-boost"])
     def test_lowering_at_the_preset_shapes(self, dataset, boost, batch):
-        net = models.build_network(models.preset_spec(dataset, "maxmin", boost=boost))
+        net = models.build_net(dataset, "maxmin", boost=boost)
         later = "im2col" if batch == 2 else "dft"
         assert conv_lowerings(net, batch) == ["im2col", later, later]
 
 
 class TestReduction:
     @pytest.mark.parametrize("build,shape", [
-        (lambda: models.build_mnist("maxmin", seed=11), (1, 32, 32)),
-        (lambda: models.build_cifar("maxmin", seed=11), (3, 32, 32)),
+        (lambda: models.build_net("mnist", "maxmin", seed=11), (1, 32, 32)),
+        (lambda: models.build_net("cifar10", "maxmin", seed=11), (3, 32, 32)),
     ])
     def test_zeroed_negated_half_matches_baseline(self, build, shape):
         net = build()
@@ -268,7 +268,7 @@ class TestReduction:
     def test_reduction_holds_where_conv2_and_conv3_take_the_dft(self, dataset, boost,
                                                                  baseline_lowerings):
         """Criterion 3 forwards one image, which never reaches the DFT; batch 64 does."""
-        net = models.build_network(models.preset_spec(dataset, "maxmin", boost=boost), seed=11)
+        net = models.build_net(dataset, "maxmin", boost=boost, seed=11)
         reduced, baseline = models.reduce_to_baseline(net)
         assert conv_lowerings(reduced, 64) == ["im2col", "dft", "dft"]
         assert conv_lowerings(baseline, 64) == baseline_lowerings
@@ -321,7 +321,7 @@ class TestReduction:
 
 class TestWeightFiles:
     def test_round_trip_exact(self, tmp_path):
-        net = models.build_mnist("maxmin", filters=(4, 4, 4), seed=7)
+        net = models.build_net("mnist", "maxmin", filters=(4, 4, 4), seed=7)
         path = tmp_path / "w.bin"
         models.save_weights(net, path)
         loaded = models.load_weights(path, net.spec)
@@ -329,11 +329,11 @@ class TestWeightFiles:
             np.testing.assert_array_equal(a, b)
 
     def test_save_that_raises_partway_keeps_the_previous_file(self, tmp_path, monkeypatch):
-        net = models.build_mnist("maxmin", filters=(4, 4, 4), seed=7)
+        net = models.build_net("mnist", "maxmin", filters=(4, 4, 4), seed=7)
         path = tmp_path / "best.bin"
         models.save_weights(net, path)
         before = path.read_bytes()
-        newer = models.build_mnist("maxmin", filters=(4, 4, 4), seed=8)
+        newer = models.build_net("mnist", "maxmin", filters=(4, 4, 4), seed=8)
         params = newer.params
 
         def first_tensor_then_fail():
@@ -350,7 +350,7 @@ class TestWeightFiles:
         assert [p.name for p in tmp_path.iterdir()] == ["best.bin"]
 
     def test_wrong_architecture_hash(self, tmp_path):
-        net = models.build_mnist("baseline", filters=(4, 4, 4), seed=7)
+        net = models.build_net("mnist", "baseline", filters=(4, 4, 4), seed=7)
         path = tmp_path / "w.bin"
         models.save_weights(net, path)
         other = models.preset_spec("mnist", "maxmin", (4, 4, 4))
@@ -358,7 +358,7 @@ class TestWeightFiles:
             models.load_weights(path, other)
 
     def test_truncated_file(self, tmp_path):
-        net = models.build_mnist("baseline", filters=(4, 4, 4), seed=7)
+        net = models.build_net("mnist", "baseline", filters=(4, 4, 4), seed=7)
         path = tmp_path / "w.bin"
         models.save_weights(net, path)
         blob = path.read_bytes()

@@ -66,7 +66,7 @@ class TestSGDStep:
     def test_deterministic_updates_on_real_net(self):
         def run():
             rng = np.random.default_rng(3)
-            net = models.build_mnist("maxmin", filters=(2, 2, 2), seed=9)
+            net = models.build_net("mnist", "maxmin", filters=(2, 2, 2), seed=9)
             opt = SGD(0.9, 1e-3)
             for _ in range(3):
                 x = rng.random((4, 1, 32, 32))

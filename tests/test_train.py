@@ -22,7 +22,7 @@ def synthetic_data(n=20, shape=(1, 32, 32), classes=10, seed=0):
 
 
 def tiny_net(seed=0):
-    return models.build_mnist("maxmin", filters=(2, 2, 2), seed=seed)
+    return models.build_net("mnist", "maxmin", filters=(2, 2, 2), seed=seed)
 
 
 def full_replay_oracle(net, x, labels, tolerance=1e-4, step=1e-5, samples_per_layer=200,
@@ -230,11 +230,11 @@ class TestGradCheck:
 
 REPLAY_NETS = {
     "mnist-maxmin": (lambda: tiny_net(seed=21), (1, 32, 32)),
-    "mnist-baseline": (lambda: models.build_mnist("baseline", filters=(2, 2, 2), seed=22),
+    "mnist-baseline": (lambda: models.build_net("mnist", "baseline", filters=(2, 2, 2), seed=22),
                        (1, 32, 32)),
     # Dropout, Dense and two-group LRN
-    "cifar-maxmin-boost": (lambda: models.build_network(
-        models.preset_spec("cifar10", "maxmin", (2, 2, 2), boost=True), seed=23), (3, 32, 32)),
+    "cifar-maxmin-boost": (lambda: models.build_net("cifar10", "maxmin", (2, 2, 2), boost=True,
+                                                    seed=23), (3, 32, 32)),
 }
 
 
@@ -309,12 +309,12 @@ def test_layers_leave_their_input_unchanged(name, factory, shape, train_mode):
 
 
 class TestInitLoss:
-    @pytest.mark.parametrize("build,shape", [
-        (models.build_mnist, (1, 32, 32)),
-        (models.build_cifar, (3, 32, 32)),
+    @pytest.mark.parametrize("dataset,shape", [
+        ("mnist", (1, 32, 32)),
+        ("cifar10", (3, 32, 32)),
     ])
-    def test_initial_loss_near_ln_k(self, build, shape):
-        net = build("maxmin", seed=14)
+    def test_initial_loss_near_ln_k(self, dataset, shape):
+        net = models.build_net(dataset, "maxmin", seed=14)
         x = np.random.default_rng(14).random((16,) + shape)
         y = np.random.default_rng(15).integers(0, 10, 16)
         loss, _ = net.loss(x, y)
