@@ -56,14 +56,17 @@ def _load_files(name, data_dir, test_only=False):
     paths = [[os.path.join(data_dir, f) for f in files] for files in splits]
     if not all(os.path.exists(p) for group in paths for p in group):
         raise DataError(f"missing {title} files in {data_dir}\n" + FETCH_HELP)
-    return [D.load_mnist(*group) if name == "mnist" else D.load_cifar10(group)
-            for group in paths]
+    loaded = [D.load_mnist(*group) if name == "mnist" else D.load_cifar10(group)
+              for group in paths]
+    if not len(loaded[-1]):
+        raise DataError(f"{title} test files hold no images: {', '.join(paths[-1])}")
+    return loaded
 
 
 def load_dataset(name, data_dir, train_subset=None, seed=0):
     """Returns (train, val, test) splits for mnist or cifar10."""
     full, test = _load_files(name, data_dir)
-    if train_subset:
+    if train_subset is not None:
         full = full.subset(np.arange(min(train_subset, len(full))))
     train_split, val_split = D.split_train_val(full, 0.1, seed)
     for split, role in ((train_split, "training"), (val_split, "validation")):
@@ -110,6 +113,8 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     net = build_net(args.dataset, args.arch, args.filters, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     shape = (2,) + net.spec.input_shape

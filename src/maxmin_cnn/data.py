@@ -113,20 +113,16 @@ def split_train_val(data, val_fraction, seed):
     return data.subset(perm[n_val:]), data.subset(perm[:n_val])
 
 
-def augment(images, rng, max_translate=4, hflip=True):
-    """Random integer translation with zero fill, then optional 50% h-flip."""
+def augment(images, rng, hflip=True):
+    """Random integer translation by up to 4 px with zero fill, then optional 50% h-flip."""
     n, c, h, w = images.shape
-    out = images
-    if max_translate > 0:
-        m = max_translate
-        padded = np.pad(images, ((0, 0), (0, 0), (m, m), (m, m)))
-        # a shift of (dy, dx) reads the padded window whose corner is (m - dy, m - dx)
-        top, left = (m - rng.integers(-m, m + 1, size=(n, 2))).T
-        windows = sliding_window_view(padded, (h, w), axis=(2, 3))
-        out = windows[np.arange(n), :, top, left]
+    m = 4
+    padded = np.pad(images, ((0, 0), (0, 0), (m, m), (m, m)))
+    # a shift of (dy, dx) reads the padded window whose corner is (m - dy, m - dx)
+    top, left = (m - rng.integers(-m, m + 1, size=(n, 2))).T
+    out = sliding_window_view(padded, (h, w), axis=(2, 3))[np.arange(n), :, top, left]
     if hflip:
         flip = rng.random(n) < 0.5
-        out = out.copy() if out is images else out
         out[flip] = out[flip][:, :, :, ::-1]
     return out
 

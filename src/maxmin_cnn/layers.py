@@ -60,13 +60,13 @@ class Conv2D(Layer):
     """
 
     def __init__(self, in_channels, filters, kernel_size, stride=1, pad=0,
-                 rng=None, init_std=0.01, dtype=np.float64):
+                 rng=None, dtype=np.float64):
         if filters < 1 or in_channels < 1:
             raise ConfigError(f"Conv2D needs positive channel counts, got {in_channels}->{filters}")
         rng = rng or np.random.default_rng()
         self.stride = stride
         self.pad = pad
-        self.weights = rng.normal(0.0, init_std,
+        self.weights = rng.normal(0.0, 0.01,
                                   (filters, in_channels, kernel_size, kernel_size)).astype(dtype)
         self.bias = np.zeros(filters, dtype=dtype)
         self.w_grad = np.zeros_like(self.weights)
@@ -400,14 +400,10 @@ class MaxPool(Layer):
         return dx
 
     def kink_signature(self):
-        """The routes; a signed pool's are preceded by the chain's packed ReLU mask."""
+        """The state ``backward`` reads: the routes, then a signed pool's gradient signs."""
         if self._cache is None:
             return b""
-        x, signed, _ = self._cache
-        route = self._routes()[0].tobytes()
-        if not signed:
-            return route
-        return np.packbits(np.concatenate((x > 0, x < 0), axis=1)).tobytes() + route
+        return b"".join(a.tobytes() for a in self._routes() if a is not None)
 
 
 class LRN(Layer):
@@ -448,7 +444,9 @@ class LRN(Layer):
     def forward(self, x, train=False):
         if x.shape[1] % self.groups != 0:
             raise ShapeError(f"LRN: {x.shape[1]} channels not divisible into {self.groups} groups")
-        denom = self.k + self.alpha * self._window_sum(x * x)
+        denom = self._window_sum(x * x)  # k + alpha * sum, built in the sum's buffer
+        denom *= self.alpha
+        denom += self.k
         dpow = denom ** (-self.beta)
         self._cache = (x, denom, dpow)
         return x * dpow
@@ -483,9 +481,9 @@ class Flatten(Layer):
 class Dense(Layer):
     """Fully connected layer, out = x @ W.T + b with W of shape (out, in)."""
 
-    def __init__(self, in_features, out_features, rng=None, init_std=0.01, dtype=np.float64):
+    def __init__(self, in_features, out_features, rng=None, dtype=np.float64):
         rng = rng or np.random.default_rng()
-        self.weights = rng.normal(0.0, init_std, (out_features, in_features)).astype(dtype)
+        self.weights = rng.normal(0.0, 0.01, (out_features, in_features)).astype(dtype)
         self.bias = np.zeros(out_features, dtype=dtype)
         self.w_grad = np.zeros_like(self.weights)
         self.b_grad = np.zeros_like(self.bias)

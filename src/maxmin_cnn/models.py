@@ -241,31 +241,20 @@ def matched_maxmin_filters(base_filters):
 def baseline_of(spec):
     """Baseline spec reachable from a maxmin spec by dropping the doubling."""
     descs = []
-    consumers = _doubled_consumers(spec)
-    for i, d in enumerate(spec.layers):
+    doubled = False  # the next conv or dense reads a maxmin-doubled input
+    for d in spec.layers:
         d = dict(d)
         if d["kind"] == "maxmin":
+            doubled = True
             continue
-        if i in consumers:
-            d["in"] //= 2
+        if d["kind"] in ("conv", "dense"):
+            if doubled:
+                d["in"] //= 2
+            doubled = False
         elif d["kind"] == "lrn":
             d["groups"] = 1
         descs.append(d)
     return NetworkSpec(input_shape=spec.input_shape, num_classes=spec.num_classes, layers=descs)
-
-
-def _doubled_consumers(spec):
-    """Indices of descriptors whose input depth was doubled by a maxmin."""
-    doubled = False
-    consumers = set()
-    for i, d in enumerate(spec.layers):
-        if d["kind"] == "maxmin":
-            doubled = True
-        elif d["kind"] in ("conv", "dense"):
-            if doubled:
-                consumers.add(i)
-            doubled = False
-    return consumers
 
 
 def reduce_to_baseline(maxmin_net):
@@ -279,12 +268,11 @@ def reduce_to_baseline(maxmin_net):
     spec = maxmin_net.spec
     reduced = build_network(spec, seed=maxmin_net.seed)
     base = build_network(baseline_of(spec), seed=maxmin_net.seed)
-    consumers = _doubled_consumers(spec)
     # only conv and dense own parameters: all three nets list them in one order
-    for (i, name, red, _), (_, _, src, _), (_, _, bp, _) in zip(
+    for (_, _, red, _), (_, _, src, _), (_, _, bp, _) in zip(
             reduced.params(), maxmin_net.params(), base.params()):
         red[...] = src
-        if name == "weights" and i in consumers:
+        if red.shape != bp.shape:  # a weight that reads a doubled input
             half = bp.shape[1]
             red[:, half:] = 0.0
             bp[...] = red[:, :half]

@@ -129,7 +129,8 @@ class TestCriterion3Reduction:
 
 class TestCriterion4FilterNegation:
     def test_negated_filter_gives_negated_map(self):
-        conv = L.Conv2D(3, 4, 5, pad=2, rng=np.random.default_rng(4), init_std=0.5)
+        conv = L.Conv2D(3, 4, 5, pad=2)
+        conv.weights[...] = np.random.default_rng(4).normal(0.0, 0.5, conv.weights.shape)
         x = rng.standard_normal((2, 3, 10, 10))
         pos = conv.forward(x)
         conv.weights[...] *= -1

@@ -186,8 +186,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("command,subset,role", [
         ("train", "4", "validation"), ("train", "-1", "training"),
-        ("compare", "4", "validation"),
-    ], ids=["train", "train-negative", "compare"])
+        ("train", "0", "training"), ("compare", "4", "validation"),
+    ], ids=["train", "train-negative", "train-zero", "compare"])
     def test_subset_that_empties_a_split_exit_2(self, command, subset, role,
                                                 mnist_dir, tmp_path, capsys):
         """--subset 4 holds out round(0.4) = 0 images; evaluate used to divide by zero."""
@@ -215,6 +215,21 @@ class TestValidation:
         assert code == 3
         assert f"{path}: truncated image payload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_test_split_exit_3(self, command, mnist_dir, capsys):
+        """A zero-count t10k pair used to end in evaluate's ZeroDivisionError (exit 1)."""
+        _write_idx(mnist_dir, "t10k", np.zeros((0, 28, 28), np.uint8), np.zeros(0, np.uint8))
+        args = ["train", "--epochs", "1", "--out", str(mnist_dir / "out")]
+        if command == "eval":
+            weights = mnist_dir / "weights.bin"
+            models.save_weights(models.build_net("mnist"), weights)
+            args = ["eval", "--weights", str(weights)]
+        code = cli.main(args + ["--dataset", "mnist", "--data-dir", str(mnist_dir)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "MNIST test files hold no images" in err
+        assert str(mnist_dir / "t10k-images-idx3-ubyte") in err
+
     def test_eval_missing_weights_exit_3(self, mnist_dir, capsys):
         weights = mnist_dir / "absent.bin"
         code = cli.main(["eval", "--dataset", "mnist", "--weights", str(weights),
@@ -239,6 +254,12 @@ class TestGradcheckCommand:
                          "--filters", "2,2,2", "--samples", "20"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_no_samples_exit_2(self, capsys):
+        """--samples 0 used to check nothing and print PASS."""
+        code = cli.main(["gradcheck", "--dataset", "mnist", "--samples", "0"])
+        assert code == 2
+        assert "--samples must be at least 1, got 0" in capsys.readouterr().err
 
 
 class TestTrainEvalRoundTrip:

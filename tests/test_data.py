@@ -168,20 +168,9 @@ class TestSplit:
 
 
 class TestAugment:
-    def test_degenerate_identity(self):
-        x = rng.random((5, 3, 8, 8))
-        out = D.augment(x, np.random.default_rng(0), max_translate=0, hflip=False)
-        np.testing.assert_array_equal(out, x)
-
     def test_double_flip_identity(self):
         x = rng.random((3, 1, 6, 6))
         np.testing.assert_array_equal(x[:, :, :, ::-1][:, :, :, ::-1], x)
-
-    def test_flip_probability(self):
-        x = rng.random((2000, 1, 2, 2))
-        out = D.augment(x, np.random.default_rng(5), max_translate=0, hflip=True)
-        flipped = (out != x).any(axis=(1, 2, 3))
-        assert abs(flipped.mean() - 0.5) < 0.05
 
     def test_shift_compose_identity_on_interior(self):
         x = rng.random((1, 1, 8, 8))
@@ -198,29 +187,26 @@ class TestAugment:
     def per_image_augment(images, rng, max_translate, hflip):
         """Reference: one slice of the zero-padded batch per image."""
         n, c, h, w = images.shape
-        out = images
-        if max_translate > 0:
-            m = max_translate
-            padded = np.pad(images, ((0, 0), (0, 0), (m, m), (m, m)))
-            shifts = rng.integers(-m, m + 1, size=(n, 2))
-            out = np.empty_like(images)
-            for i, (dy, dx) in enumerate(shifts):
-                out[i] = padded[i, :, m - dy:m - dy + h, m - dx:m - dx + w]
+        m = max_translate
+        padded = np.pad(images, ((0, 0), (0, 0), (m, m), (m, m)))
+        shifts = rng.integers(-m, m + 1, size=(n, 2))
+        out = np.empty_like(images)
+        for i, (dy, dx) in enumerate(shifts):
+            out[i] = padded[i, :, m - dy:m - dy + h, m - dx:m - dx + w]
         if hflip:
             flip = rng.random(n) < 0.5
-            out = out.copy() if out is images else out
             out[flip] = out[flip][:, :, :, ::-1]
         return out
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("hflip", [False, True])
-    @pytest.mark.parametrize("max_translate", [0, 3, 4])
+    @pytest.mark.parametrize("max_translate", [4])  # the shift bound augment draws from
     def test_matches_per_image_reference(self, max_translate, hflip, dtype):
         x = rng.random((17, 3, 9, 7)).astype(dtype)
         before = x.tobytes()
         ref_rng, rng_ = np.random.default_rng(8), np.random.default_rng(8)
         ref = self.per_image_augment(x, ref_rng, max_translate, hflip)
-        out = D.augment(x, rng_, max_translate=max_translate, hflip=hflip)
+        out = D.augment(x, rng_, hflip=hflip)
         assert out.dtype == dtype and out.shape == x.shape and out.flags.c_contiguous
         assert out.tobytes() == ref.tobytes()
         assert rng_.random() == ref_rng.random()  # same draws, in the same order
@@ -228,7 +214,7 @@ class TestAugment:
 
     def test_preserves_shape_and_range(self):
         x = rng.random((10, 3, 8, 8))
-        out = D.augment(x, np.random.default_rng(1), max_translate=3, hflip=True)
+        out = D.augment(x, np.random.default_rng(1), hflip=True)
         assert out.shape == x.shape
         assert float(out.min()) >= 0.0 and float(out.max()) <= 1.0
 

@@ -416,15 +416,21 @@ def test_maxpool_matches_loop_oracle(case):
 @given(pool_cases())
 def test_signed_pool_is_the_maxmin_relu_maxpool_chain(case):
     window, stride, x, seed = case
-    chain = [L.MaxMin(), L.ReLU(), L.MaxPool(window, stride)]
-    ref = x
-    for layer in chain:
-        ref = layer.forward(ref, train=True)
-    g = np.random.default_rng(seed).standard_normal(ref.shape).astype(x.dtype)
+    r = np.random.default_rng(seed)
+
+    def run_chain(x):
+        """The chain's output, and each output's route and ReLU mask at that route."""
+        chain = [L.MaxMin(), L.ReLU(), L.MaxPool(window, stride)]
+        for layer in chain:
+            x = layer.forward(x, train=True)
+        active = x > 0
+        return chain, x, (chain[2]._routes()[0] * active).tobytes() + active.tobytes()
+
+    chain, ref, chain_sig = run_chain(x)
+    g = r.standard_normal(ref.shape).astype(x.dtype)
     ref_dx = g
     for layer in reversed(chain):
         ref_dx = layer.backward(ref_dx)
-    ref_sig = b"".join(layer.kink_signature() for layer in chain)
 
     results = []
     for train in (True, False):
@@ -435,10 +441,19 @@ def test_signed_pool_is_the_maxmin_relu_maxpool_chain(case):
         dx = pool.backward(g)
         # only the sign of a zero may differ: the chain subtracts its halves
         assert dx.dtype == ref_dx.dtype and np.array_equal(dx, ref_dx)
-        sig = pool.kink_signature()
-        assert sig == ref_sig
-        results.append((dx.tobytes(), sig))
+        results.append((dx.tobytes(), pool.kink_signature()))
     assert results[0] == results[1]
+
+    # a second input one changed entry away: the signatures differ iff the
+    # routes or signs do, and always where the chain's differ at the outputs
+    sig, state = results[1][1], pool._routes()
+    y = x.copy()
+    y.flat[r.integers(x.size)] = r.choice(POOL_VALUES)
+    pool.forward(y, signed=True)
+    same_state = all(np.array_equal(a, b) for a, b in zip(state, pool._routes()))
+    assert (pool.kink_signature() == sig) == same_state
+    if run_chain(y)[2] != chain_sig:
+        assert pool.kink_signature() != sig
 
 
 class TestLRN:

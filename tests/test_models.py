@@ -302,7 +302,8 @@ class TestReduction:
     def test_filter_negation_swaps_block_channels(self):
         """Negating filter f swaps post-ReLU channels f and C+f exactly."""
         from maxmin_cnn.layers import MaxMin, ReLU
-        conv = Conv2D(3, 8, 5, pad=2, rng=np.random.default_rng(2), init_std=0.5)
+        conv = Conv2D(3, 8, 5, pad=2)
+        conv.weights[...] = np.random.default_rng(2).normal(0.0, 0.5, conv.weights.shape)
         x = rng.standard_normal((2, 3, 12, 12))
 
         def block():
