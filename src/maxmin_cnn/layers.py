@@ -247,14 +247,14 @@ class MaxPool(Layer):
     each output keeps that tap's row-major index in its window (one byte
     up to 16x16 windows) as the route of its gradient.
 
-    ``forward(x, signed=True)`` stands for a MaxMin, ReLU, MaxPool chain
-    on x's C channels. Per window, pool(relu([x | -x])) equals
-    [relu(maxpool x) | relu(-minpool x)], so it pools the window max and
-    the window min of x from the same taps and returns the chain's 2C
-    maps, byte for byte. An output pooled to 0 routes to tap 0 with a
-    zero gradient, where the chain's ReLU mask zeroed it; the min half's
-    gradient changes sign, as MaxMin's backward does. ``Network`` calls
-    each such run this way.
+    ``forward(x, relu=r)`` stands for the chain that ends in this pool
+    and returns its r ReLU'd halves, byte for byte: relu(maxpool x) is
+    ReLU, MaxPool (r = 1), and [relu(maxpool x) | relu(-minpool x)],
+    pooled from the same taps, is MaxMin, ReLU, MaxPool on x's C channels
+    (r = 2). An output pooled to 0 routes to tap 0 with a zero gradient,
+    where the chain's ReLU mask zeroed it; the min half's gradient changes
+    sign, as MaxMin's backward does. ``Network`` calls each such run this
+    way; r = 0, the default, is the plain pool.
 
     Only a training forward tracks routes. Any other forward computes
     window values alone; ``backward`` and ``kink_signature`` compute the
@@ -267,7 +267,7 @@ class MaxPool(Layer):
             raise ConfigError(f"MaxPool: invalid window {window} / stride {stride}")
         self.window = window
         self.stride = stride
-        self._cache = None  # (x, signed, routes or None until first asked)
+        self._cache = None  # (x, relu, routes or None until first asked)
 
     def _starts(self, size):
         """First input index of each window along an axis of ``size``."""
@@ -351,34 +351,35 @@ class MaxPool(Layer):
         out, route = self._first(self._taps(cols[..., :wo], 2), lowest, inner, routes)
         return out[:, :, :ho], (route[:, :, :ho] if routes else None)
 
-    def _run(self, x, signed, routes):
-        """The pooled output, and with ``routes`` each output's (route, gradient sign)."""
+    def _run(self, x, relu, routes):
+        """The pooled output, and with ``routes`` each output's (route, gradient sign or None)."""
         columns = self._taps(x, 3)  # both halves pool the same taps
-        hi, route = self._pool(columns, x.shape, False, routes)
-        if not signed:
-            return np.ascontiguousarray(hi), (route, None) if routes else None
-        lo, lo_route = self._pool(columns, x.shape, True, routes)
-        out = np.concatenate((hi, -lo), axis=1)
-        np.maximum(out, 0, out=out)  # a -0 tie returns the second operand, +0
-        if not routes:
-            return out, None
+        values, halves = zip(*(self._pool(columns, x.shape, lowest, routes)
+                               for lowest in (False, True)[:max(relu, 1)]))
+        out = np.concatenate(values, axis=1)
+        route = np.concatenate(halves, axis=1) if routes else None
+        if relu:
+            np.negative(out[:, x.shape[1]:], out=out[:, x.shape[1]:])  # relu(-minpool x)
+            np.maximum(out, 0, out=out)  # a -0 tie returns the second operand, +0
+        if not (relu and routes):
+            return out, (route, None) if routes else None
         # the chain's ReLU passes a gradient where a half pooled a value > 0;
         # the min half's gradient changes sign, as MaxMin's backward does
-        active = np.concatenate((hi > 0, lo < 0), axis=1)
+        active = out > 0
         sign = active.astype(np.int8)
-        sign[:, hi.shape[1]:] *= -1
-        return out, (np.concatenate((route, lo_route), axis=1) * active, sign)
+        sign[:, x.shape[1]:] *= -1
+        return out, (route * active, sign)
 
-    def forward(self, x, train=False, signed=False):
-        out, routes = self._run(x, signed, routes=train)
-        self._cache = (x, signed, routes)
+    def forward(self, x, train=False, relu=0):
+        out, routes = self._run(x, relu, routes=train)
+        self._cache = (x, relu, routes)
         return out
 
     def _routes(self):
-        x, signed, routes = self._cache
+        x, relu, routes = self._cache
         if routes is None:
-            routes = self._run(x, signed, routes=True)[1]
-            self._cache = (x, signed, routes)
+            routes = self._run(x, relu, routes=True)[1]
+            self._cache = (x, relu, routes)
         return routes
 
     def backward(self, grad_out):
@@ -388,8 +389,8 @@ class MaxPool(Layer):
             raise ShapeError(f"MaxPool backward: grad shape {grad_out.shape} != {route.shape}")
         n, c, h, w = self._cache[0].shape
         k = self.window
-        # flat input index of each output's routed tap, in output order; a
-        # signed pool's two halves both route into x's C channels
+        # flat input index of each output's routed tap, in output order; the
+        # two halves of a relu=2 pool both route into x's C channels
         src = np.add.outer(np.arange(k) * w, np.arange(k)).reshape(-1)[route]
         planes = np.arange(n)[:, None] * c + np.arange(route.shape[1]) % c
         src += (planes * (h * w)).reshape(n, -1, 1, 1)
@@ -400,7 +401,7 @@ class MaxPool(Layer):
         return dx
 
     def kink_signature(self):
-        """The state ``backward`` reads: the routes, then a signed pool's gradient signs."""
+        """The state ``backward`` reads: the routes, then a relu pool's gradient signs."""
         if self._cache is None:
             return b""
         return b"".join(a.tobytes() for a in self._routes() if a is not None)

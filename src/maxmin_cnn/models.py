@@ -39,11 +39,10 @@ class Network:
     """Sequential layer stack with a softmax cross-entropy head.
 
     ``steps`` lists the calls a forward makes, as (index of the first
-    layer covered, layer, forward keyword arguments). Each MaxMin, ReLU,
-    MaxPool run is one call, its MaxPool's with ``signed=True``: the
-    pool takes the MaxMin's C-channel input and returns the chain's 2C
-    maps (see ``MaxPool``). The run's MaxMin and ReLU stay in ``layers``
-    but are not called.
+    layer covered, layer, forward keyword arguments). Each [MaxMin,]
+    ReLU, MaxPool run is one call, its MaxPool's with ``relu`` = 2 or 1,
+    the run's count of ReLU'd halves (see ``MaxPool``). The run's MaxMin
+    and ReLU stay in ``layers`` but are not called.
     """
 
     def __init__(self, spec, layer_objs, seed):
@@ -54,10 +53,10 @@ class Network:
         self.steps = []
         i = 0
         while i < len(layer_objs):
-            run = layer_objs[i:i + 3]
-            if len(run) == 3 and all(map(isinstance, run, (L.MaxMin, L.ReLU, L.MaxPool))):
-                self.steps.append((i, run[2], {"signed": True}))
-                i += 3
+            halves = 1 + isinstance(layer_objs[i], L.MaxMin)
+            if list(map(type, layer_objs[i + halves - 1:i + halves + 1])) == [L.ReLU, L.MaxPool]:
+                self.steps.append((i, layer_objs[i + halves], {"relu": halves}))
+                i += halves + 1
             else:
                 self.steps.append((i, layer_objs[i], {}))
                 i += 1
@@ -102,12 +101,13 @@ class Network:
 
 
 def _spatial_after(spec):
-    """Walk descriptors and return the flattened feature length.
+    """Walk descriptors and return the width of the last layer's output.
 
     Uses the layers' own shape rules, so a spec whose geometry a layer
     would reject raises ConfigError here.
     """
     c, h, w = spec.input_shape
+    flat = False  # after a flatten, c counts features and h = w = 1
     for d in spec.layers:
         kind = d["kind"]
         if kind == "conv":
@@ -119,12 +119,24 @@ def _spatial_after(spec):
             c *= 2
         elif kind == "pool":
             h, w = (pool_out_size(s, d["window"], d["stride"]) for s in (h, w))
+        elif kind == "lrn":
+            if d["groups"] < 1 or c % d["groups"]:
+                raise ConfigError(f"lrn groups {d['groups']} do not divide its {c} channels")
+        elif kind == "flatten":
+            c, h, w, flat = c * h * w, 1, 1, True
+        elif kind == "dense":
+            if not flat or d["in"] != c:
+                raise ConfigError(f"dense expects {d['in']} features, chain provides "
+                                  f"{c if flat else 'an unflattened map'}")
+            c = d["out"]
     return c * h * w
 
 
 def build_network(spec, seed=0, dtype=np.float64):
     """Instantiate a spec with seeded Gaussian(0, 0.01) weights, zero biases."""
-    _spatial_after(spec)  # reject bad geometry before any weights are drawn
+    width = _spatial_after(spec)  # reject bad geometry before any weights are drawn
+    if width != spec.num_classes:
+        raise ConfigError(f"the last layer gives {width} outputs, not {spec.num_classes} classes")
     rng = np.random.default_rng(seed)
     objs = []
     for d in spec.layers:

@@ -89,7 +89,7 @@ class TestParams:
                                                "layer 20 dense: 650", "total: 287914"]),
     ], ids=["mnist", "cifar10", "cifar10-boost"])
     def test_maxmin_layer_indices_are_pinned(self, flags, lines, capsys):
-        """Parameter indices count the MaxMin and ReLU that a signed pool stands for."""
+        """Parameter indices count the MaxMin and ReLU that a fused pool stands for."""
         assert cli.main(["params", "--arch", "maxmin"] + flags) == 0
         assert capsys.readouterr().out.splitlines()[1:] == lines
 

@@ -415,45 +415,47 @@ def test_maxpool_matches_loop_oracle(case):
 @settings(max_examples=300, deadline=None)
 @given(pool_cases())
 def test_signed_pool_is_the_maxmin_relu_maxpool_chain(case):
+    """forward(x, relu=2) is MaxMin, ReLU, MaxPool; forward(x, relu=1) is ReLU, MaxPool."""
     window, stride, x, seed = case
     r = np.random.default_rng(seed)
-
-    def run_chain(x):
-        """The chain's output, and each output's route and ReLU mask at that route."""
-        chain = [L.MaxMin(), L.ReLU(), L.MaxPool(window, stride)]
-        for layer in chain:
-            x = layer.forward(x, train=True)
-        active = x > 0
-        return chain, x, (chain[2]._routes()[0] * active).tobytes() + active.tobytes()
-
-    chain, ref, chain_sig = run_chain(x)
-    g = r.standard_normal(ref.shape).astype(x.dtype)
-    ref_dx = g
-    for layer in reversed(chain):
-        ref_dx = layer.backward(ref_dx)
-
-    results = []
-    for train in (True, False):
-        pool = L.MaxPool(window, stride)
-        out = pool.forward(x, train=train, signed=True)
-        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
-        assert (pool._cache[2] is None) == (not train)  # an eval forward tracks no route
-        dx = pool.backward(g)
-        # only the sign of a zero may differ: the chain subtracts its halves
-        assert dx.dtype == ref_dx.dtype and np.array_equal(dx, ref_dx)
-        results.append((dx.tobytes(), pool.kink_signature()))
-    assert results[0] == results[1]
-
-    # a second input one changed entry away: the signatures differ iff the
-    # routes or signs do, and always where the chain's differ at the outputs
-    sig, state = results[1][1], pool._routes()
-    y = x.copy()
+    y = x.copy()  # a second input one changed entry away
     y.flat[r.integers(x.size)] = r.choice(POOL_VALUES)
-    pool.forward(y, signed=True)
-    same_state = all(np.array_equal(a, b) for a, b in zip(state, pool._routes()))
-    assert (pool.kink_signature() == sig) == same_state
-    if run_chain(y)[2] != chain_sig:
-        assert pool.kink_signature() != sig
+    for relu in (1, 2):
+        def run_chain(x):
+            """The chain's output, and each output's route and ReLU mask at that route."""
+            chain = [L.MaxMin(), L.ReLU(), L.MaxPool(window, stride)][2 - relu:]
+            for layer in chain:
+                x = layer.forward(x, train=True)
+            active = x > 0
+            return chain, x, (chain[-1]._routes()[0] * active).tobytes() + active.tobytes()
+
+        chain, ref, chain_sig = run_chain(x)
+        g = r.standard_normal(ref.shape).astype(x.dtype)
+        ref_dx = g
+        for layer in reversed(chain):
+            ref_dx = layer.backward(ref_dx)
+
+        results = []
+        for train in (True, False):
+            pool = L.MaxPool(window, stride)
+            out = pool.forward(x, train=train, relu=relu)
+            assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+            assert (pool._cache[2] is None) == (not train)  # an eval forward tracks no route
+            dx = pool.backward(g)
+            # only the sign of a zero may differ: the chain masks after summing
+            # the windows' gradients, and MaxMin subtracts its halves
+            assert dx.dtype == ref_dx.dtype and np.array_equal(dx, ref_dx)
+            results.append((dx.tobytes(), pool.kink_signature()))
+        assert results[0] == results[1]
+
+        # on y the signatures differ iff the routes or signs do, and iff the
+        # chain's routes and ReLU mask at its outputs differ: a function of
+        # the chain's state, so the gradient check skips no entry it would not
+        sig, state = results[1][1], pool._routes()
+        pool.forward(y, relu=relu)
+        same_state = all(np.array_equal(a, b) for a, b in zip(state, pool._routes()))
+        assert (pool.kink_signature() == sig) == same_state
+        assert (pool.kink_signature() == sig) == (run_chain(y)[2] == chain_sig)
 
 
 class TestLRN:

@@ -116,22 +116,45 @@ class TestPresets:
         with pytest.raises(ConfigError):
             models.build_network(spec)
 
+    TAIL = [dict(kind="flatten"), dict(kind="dense", **{"in": 64}, out=10)]
 
-MAXMIN_SPECS = {
+    @pytest.mark.parametrize("layers,match", [
+        ([dict(kind="lrn", groups=0, **models.LRN_DEFAULTS)] + TAIL, "groups 0"),
+        ([dict(kind="lrn", groups=3, **models.LRN_DEFAULTS)] + TAIL, "groups 3"),
+        ([dict(kind="dense", **{"in": 64}, out=10)], "unflattened"),
+        ([dict(kind="flatten"), dict(kind="dense", **{"in": 63}, out=10)], "63 features"),
+        ([dict(kind="flatten"), dict(kind="dense", **{"in": 64}, out=9)], "9 outputs"),
+        ([dict(kind="flatten")], "64 outputs"),
+    ], ids=["lrn-groups-0", "lrn-groups-3", "dense-unflattened", "dense-in", "dense-out",
+            "no-dense"])
+    def test_bad_spec_fails_at_build(self, layers, match):
+        spec = models.NetworkSpec(input_shape=(4, 4, 4), num_classes=10, layers=layers)
+        with pytest.raises(ConfigError, match=match):
+            models.build_network(spec)
+        good = models.NetworkSpec(input_shape=(4, 4, 4), num_classes=10,
+                                  layers=[dict(kind="lrn", groups=2, **models.LRN_DEFAULTS)]
+                                  + self.TAIL)
+        assert models.build_network(good).forward(np.zeros((1, 4, 4, 4))).shape == (1, 10)
+
+
+PRESET_SPECS = {
     "mnist": models.preset_spec("mnist", "maxmin", (2, 2, 2)),
     "cifar10": models.preset_spec("cifar10", "maxmin", (2, 2, 2)),
     "cifar10-boost": models.preset_spec("cifar10", "maxmin", (2, 2, 2), boost=True),
+    "mnist-baseline": models.preset_spec("mnist", "baseline", (2, 2, 2)),
+    "cifar10-baseline": models.preset_spec("cifar10", "baseline", (2, 2, 2)),
+    "cifar10-boost-baseline": models.preset_spec("cifar10", "baseline", (2, 2, 2), boost=True),
 }
 LAYER_KINDS = {L.Conv2D: "conv", L.MaxMin: "maxmin", L.ReLU: "relu", L.MaxPool: "pool",
                L.LRN: "lrn", L.Flatten: "flatten", L.Dense: "dense", L.Dropout: "dropout"}
 
 
 class TestSignedRuns:
-    """A network calls each MaxMin, ReLU, MaxPool run as its MaxPool with signed=True."""
+    """A network calls each [MaxMin,] ReLU, MaxPool run as its MaxPool with relu=2 (or 1)."""
 
-    @pytest.mark.parametrize("name", sorted(MAXMIN_SPECS))
+    @pytest.mark.parametrize("name", sorted(PRESET_SPECS))
     def test_runs_never_call_their_maxmin_or_relu(self, name, monkeypatch):
-        spec = MAXMIN_SPECS[name]
+        spec = PRESET_SPECS[name]
         net = models.build_network(spec, seed=3)
         called = []
         for cls in (L.MaxMin, L.ReLU):
@@ -150,9 +173,9 @@ class TestSignedRuns:
         assert len(called) == 4 * len(dense_relus)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("name", sorted(MAXMIN_SPECS))
+    @pytest.mark.parametrize("name", sorted(PRESET_SPECS))
     def test_matches_calling_every_layer(self, name, dtype):
-        spec = MAXMIN_SPECS[name]
+        spec = PRESET_SPECS[name]
         fused, chained = (models.build_network(spec, seed=5, dtype=dtype) for _ in range(2))
         x = np.random.default_rng(5).random((3,) + spec.input_shape).astype(dtype)
         y = np.array([0, 3, 9])
@@ -170,24 +193,22 @@ class TestSignedRuns:
         for (_, _, _, a), (_, _, _, b) in zip(fused.params(), chained.params()):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("name", sorted(MAXMIN_SPECS))
+    @pytest.mark.parametrize("name", sorted(PRESET_SPECS))
     def test_layers_and_param_indices_follow_the_spec(self, name):
-        spec = MAXMIN_SPECS[name]
+        spec = PRESET_SPECS[name]
         net = models.build_network(spec)
         assert [LAYER_KINDS[type(layer)] for layer in net.layers] == [
             d["kind"] for d in spec.layers]
         assert sorted({i for i, _, _, _ in net.params()}) == [
             i for i, d in enumerate(spec.layers) if d["kind"] in ("conv", "dense")]
-        assert [(i, kwargs) for i, _, kwargs in net.steps if kwargs] == [
-            (i, {"signed": True}) for i, d in enumerate(spec.layers) if d["kind"] == "maxmin"]
-
-    @pytest.mark.parametrize("spec", [
-        models.preset_spec("mnist", "baseline"), models.preset_spec("cifar10", "baseline"),
-        models.preset_spec("cifar10", "baseline", boost=True),
-    ], ids=["mnist", "cifar10", "cifar10-boost"])
-    def test_baseline_nets_call_every_layer_plainly(self, spec):
-        net = models.build_network(spec)
-        assert net.steps == [(i, layer, {}) for i, layer in enumerate(net.layers)]
+        # every preset conv is followed by [maxmin,] relu, pool: one step, the pool's
+        runs = {i + 1: 1 + (spec.layers[i + 1]["kind"] == "maxmin")
+                for i, d in enumerate(spec.layers) if d["kind"] == "conv"}
+        covered = {j for i, relu in runs.items() for j in range(i, i + relu + 1)}
+        expected = sorted([(i, net.layers[i + relu], {"relu": relu}) for i, relu in runs.items()]
+                          + [(i, net.layers[i], {}) for i in range(len(net.layers))
+                             if i not in covered], key=lambda step: step[0])
+        assert net.steps == expected
 
 
 class TestParamCount:
@@ -202,7 +223,7 @@ class TestParamCount:
         assert conv1.weights.size + conv1.bias.size == 2432
 
     def test_empty_network(self):
-        spec = models.NetworkSpec(input_shape=(1, 4, 4), num_classes=10,
+        spec = models.NetworkSpec(input_shape=(1, 4, 4), num_classes=16,
                                   layers=[dict(kind="flatten")])
         assert models.build_network(spec).param_count() == 0
 
