@@ -80,11 +80,6 @@ def cmd_train(args):
     dtype = np.float32 if args.float32 else np.float64
     net = build_net(args.dataset, args.arch, args.filters, boost=args.boost,
                     seed=args.seed, dtype=dtype)
-    train_split, val_split, test = load_dataset(
-        args.dataset, args.data_dir, train_subset=args.subset, seed=args.seed)
-    if dtype is np.float32:
-        for split in (train_split, val_split, test):
-            split.images = split.images.astype(np.float32)
     config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, seed=args.seed,
         learning_rate=args.lr, momentum=args.momentum, weight_decay=args.weight_decay,
@@ -92,6 +87,11 @@ def cmd_train(args):
         augment=args.boost, hflip=args.dataset != "mnist", zca=args.boost,
         checkpoint_every=args.checkpoint_every, out_dir=args.out, eval_test=True,
     )
+    train_split, val_split, test = load_dataset(
+        args.dataset, args.data_dir, train_subset=args.subset, seed=args.seed)
+    if dtype is np.float32:
+        for split in (train_split, val_split, test):
+            split.images = split.images.astype(np.float32)
     net, metrics = train(net, train_split, val_split, config, test_data=test)
     if metrics:
         last = metrics[-1]

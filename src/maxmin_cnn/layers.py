@@ -61,8 +61,8 @@ class Conv2D(Layer):
 
     def __init__(self, in_channels, filters, kernel_size, stride=1, pad=0,
                  rng=None, dtype=np.float64):
-        if filters < 1 or in_channels < 1:
-            raise ConfigError(f"Conv2D needs positive channel counts, got {in_channels}->{filters}")
+        if min(in_channels, filters, kernel_size) < 1:
+            raise ConfigError(f"Conv2D: bad {in_channels}->{filters} channels, kernel {kernel_size}")
         rng = rng or np.random.default_rng()
         self.stride = stride
         self.pad = pad
@@ -483,6 +483,8 @@ class Dense(Layer):
     """Fully connected layer, out = x @ W.T + b with W of shape (out, in)."""
 
     def __init__(self, in_features, out_features, rng=None, dtype=np.float64):
+        if min(in_features, out_features) < 1:
+            raise ConfigError(f"Dense: bad {in_features}->{out_features} features")
         rng = rng or np.random.default_rng()
         self.weights = rng.normal(0.0, 0.01, (out_features, in_features)).astype(dtype)
         self.bias = np.zeros(out_features, dtype=dtype)

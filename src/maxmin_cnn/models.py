@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 
@@ -21,8 +22,8 @@ class NetworkSpec:
 
     Each descriptor is a dict with a ``kind`` key ("conv", "maxmin",
     "relu", "pool", "lrn", "flatten", "dense", "dropout") and that
-    layer's hyperparameters. Descriptors are fully explicit (channel
-    counts included) so the spec alone determines every tensor shape.
+    layer's hyperparameters, channel counts included, so the spec alone
+    determines every tensor shape; ``build_network`` checks that they chain.
     """
     input_shape: tuple          # (C, H, W)
     num_classes: int
@@ -100,67 +101,58 @@ class Network:
         return sum(v.size for _, _, v, _ in self.params())
 
 
-def _spatial_after(spec):
-    """Walk descriptors and return the width of the last layer's output.
+def build_network(spec, seed=0, dtype=np.float64):
+    """Instantiate a spec with seeded Gaussian(0, 0.01) weights, zero biases.
 
-    Uses the layers' own shape rules, so a spec whose geometry a layer
-    would reject raises ConfigError here.
+    One walk of the descriptors builds each layer (its constructor checks
+    its hyperparameters), checks the shape reaching it and sizes the shape
+    leaving it by the layers' own rules. ConfigError rejects a conv or pool
+    after a flatten (MaxMin, ReLU, LRN and dropout run on (N, features)),
+    a dense before one, a conv or dense whose ``in`` is not the width
+    reaching it, a size that is not whole, LRN groups not dividing the
+    channels, and a walk that does not end on ``num_classes`` flat features.
     """
+    rng = np.random.default_rng(seed)
+    objs = []
     c, h, w = spec.input_shape
-    flat = False  # after a flatten, c counts features and h = w = 1
+    hw = [h, w]  # [] once a flatten has run
     for d in spec.layers:
         kind = d["kind"]
+        if (kind in ("conv", "pool") and not hw) or (kind == "dense" and hw):
+            raise ConfigError(f"{kind} cannot take {'an unflattened map' if hw else 'flat input'}")
         if kind == "conv":
+            layer = L.Conv2D(d["in"], d["filters"], d["kernel"], stride=d["stride"],
+                             pad=d["pad"], rng=rng, dtype=dtype)
             if d["in"] != c:
                 raise ConfigError(f"conv expects {d['in']} channels, chain provides {c}")
             c = d["filters"]
-            h, w = (conv_out_size(s, d["kernel"], d["stride"], d["pad"]) for s in (h, w))
+            hw = [conv_out_size(s, d["kernel"], d["stride"], d["pad"]) for s in hw]
         elif kind == "maxmin":
-            c *= 2
+            layer, c = L.MaxMin(), 2 * c
+        elif kind == "relu":
+            layer = L.ReLU()
         elif kind == "pool":
-            h, w = (pool_out_size(s, d["window"], d["stride"]) for s in (h, w))
+            layer = L.MaxPool(window=d["window"], stride=d["stride"])
+            hw = [pool_out_size(s, layer.window, layer.stride) for s in hw]
         elif kind == "lrn":
+            layer = L.LRN(depth_radius=d["depth_radius"], k=d["k"],
+                          alpha=d["alpha"], beta=d["beta"], groups=d["groups"])
             if d["groups"] < 1 or c % d["groups"]:
                 raise ConfigError(f"lrn groups {d['groups']} do not divide its {c} channels")
         elif kind == "flatten":
-            c, h, w, flat = c * h * w, 1, 1, True
+            layer, c, hw = L.Flatten(), c * math.prod(hw), []
         elif kind == "dense":
-            if not flat or d["in"] != c:
-                raise ConfigError(f"dense expects {d['in']} features, chain provides "
-                                  f"{c if flat else 'an unflattened map'}")
-            c = d["out"]
-    return c * h * w
-
-
-def build_network(spec, seed=0, dtype=np.float64):
-    """Instantiate a spec with seeded Gaussian(0, 0.01) weights, zero biases."""
-    width = _spatial_after(spec)  # reject bad geometry before any weights are drawn
-    if width != spec.num_classes:
-        raise ConfigError(f"the last layer gives {width} outputs, not {spec.num_classes} classes")
-    rng = np.random.default_rng(seed)
-    objs = []
-    for d in spec.layers:
-        kind = d["kind"]
-        if kind == "conv":
-            objs.append(L.Conv2D(d["in"], d["filters"], d["kernel"], stride=d["stride"],
-                                 pad=d["pad"], rng=rng, dtype=dtype))
-        elif kind == "maxmin":
-            objs.append(L.MaxMin())
-        elif kind == "relu":
-            objs.append(L.ReLU())
-        elif kind == "pool":
-            objs.append(L.MaxPool(window=d["window"], stride=d["stride"]))
-        elif kind == "lrn":
-            objs.append(L.LRN(depth_radius=d["depth_radius"], k=d["k"],
-                              alpha=d["alpha"], beta=d["beta"], groups=d["groups"]))
-        elif kind == "flatten":
-            objs.append(L.Flatten())
-        elif kind == "dense":
-            objs.append(L.Dense(d["in"], d["out"], rng=rng, dtype=dtype))
+            if d["in"] != c:
+                raise ConfigError(f"dense expects {d['in']} features, chain provides {c}")
+            layer, c = L.Dense(d["in"], d["out"], rng=rng, dtype=dtype), d["out"]
         elif kind == "dropout":
-            objs.append(L.Dropout(d["p"], rng=np.random.default_rng(rng.integers(2**63))))
+            layer = L.Dropout(d["p"], rng=np.random.default_rng(rng.integers(2**63)))
         else:
             raise ConfigError(f"unknown layer kind {kind!r}")
+        objs.append(layer)
+    if hw or c != spec.num_classes:
+        got = f"an unflattened {[c] + hw} map" if hw else f"{c} outputs"
+        raise ConfigError(f"the last layer gives {got}, not {spec.num_classes} classes")
     return Network(spec, objs, seed)
 
 
@@ -193,7 +185,7 @@ def preset_spec(dataset, arch="baseline", filters=None, boost=False):
     lrn = boost or dataset == "mnist"
     dropout = 0.5 if boost else None
     descs = []
-    c = input_shape[0]
+    c, side = input_shape[:2]  # square inputs
     for f in filters:
         descs.append(dict(kind="conv", **{"in": c}, filters=f, kernel=5, stride=1, pad=2))
         if maxmin:
@@ -203,9 +195,9 @@ def preset_spec(dataset, arch="baseline", filters=None, boost=False):
         if lrn:
             descs.append(dict(kind="lrn", groups=2 if maxmin else 1, **LRN_DEFAULTS))
         c = 2 * f if maxmin else f
+        side = pool_out_size(conv_out_size(side, 5, 1, 2), 3, 2)
     descs.append(dict(kind="flatten"))
-    spec = NetworkSpec(input_shape=input_shape, num_classes=10, layers=descs)
-    flat = _spatial_after(spec)
+    flat = c * side * side
     if fc_hidden is not None:
         if dropout:
             descs.append(dict(kind="dropout", p=dropout))
@@ -215,7 +207,7 @@ def preset_spec(dataset, arch="baseline", filters=None, boost=False):
     if dropout:
         descs.append(dict(kind="dropout", p=dropout))
     descs.append(dict(kind="dense", **{"in": flat}, out=10))
-    return spec
+    return NetworkSpec(input_shape=input_shape, num_classes=10, layers=descs)
 
 
 def build_net(dataset, arch="baseline", filters=None, boost=False, seed=0, dtype=np.float64):

@@ -26,8 +26,6 @@ def conv_out_size(size, k, stride, pad):
 
 def pool_out_size(size, window, stride):
     """Output extent of an edge-clamped pool: ceil((size - window) / stride) + 1."""
-    if window < 1 or stride < 1:
-        raise ConfigError(f"MaxPool: invalid window {window} / stride {stride}")
     if window > size:
         raise ConfigError(f"MaxPool: window {window} exceeds input extent {size}")
     return -((size - window) // -stride) + 1

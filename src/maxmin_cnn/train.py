@@ -33,8 +33,8 @@ class TrainConfig:
     eval_test: bool = False
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError(f"bad epochs/batch_size: {self.epochs}/{self.batch_size}")
+        if self.epochs < 0 or self.batch_size < 1 or self.checkpoint_every < 0:
+            raise ValueError(f"bad epochs, batch_size or checkpoint_every in {self}")
         self.optimizers()  # a bad rate, momentum, decay, patience or factor fails here
 
     def optimizers(self):

@@ -184,6 +184,14 @@ class TestValidation:
         assert code == 2
         assert repr(bad) in capsys.readouterr().err
 
+    def test_negative_checkpoint_every_exit_2_before_loading(self, tmp_path, capsys):
+        """An empty data directory would exit 3, so 2 means the config failed first."""
+        code = cli.main(["train", "--dataset", "mnist", "--checkpoint-every", "-1",
+                         "--data-dir", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "checkpoint_every=-1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,subset,role", [
         ("train", "4", "validation"), ("train", "-1", "training"),
         ("train", "0", "training"), ("compare", "4", "validation"),

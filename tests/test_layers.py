@@ -412,50 +412,88 @@ def test_maxpool_matches_loop_oracle(case):
     assert out[~nan].tobytes() == ref[~nan].tobytes()
 
 
+def assert_relu_pool_is_chain(window, stride, x, y, relu, r):
+    """forward(x, relu=2) is MaxMin, ReLU, MaxPool; forward(x, relu=1) is ReLU, MaxPool.
+
+    ``y`` is a second input; the fused pool's signatures on x and y agree
+    iff the chain's do.
+    """
+    def run_chain(x):
+        """The chain's output, and each output's route and ReLU mask at that route."""
+        chain = [L.MaxMin(), L.ReLU(), L.MaxPool(window, stride)][2 - relu:]
+        for layer in chain:
+            x = layer.forward(x, train=True)
+        active = x > 0
+        return chain, x, (chain[-1]._routes()[0] * active).tobytes() + active.tobytes()
+
+    chain, ref, chain_sig = run_chain(x)
+    g = r.standard_normal(ref.shape).astype(x.dtype)
+    ref_dx = g
+    for layer in reversed(chain):
+        ref_dx = layer.backward(ref_dx)
+
+    results = []
+    for train in (True, False):
+        pool = L.MaxPool(window, stride)
+        out = pool.forward(x, train=train, relu=relu)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+        assert (pool._cache[2] is None) == (not train)  # an eval forward tracks no route
+        dx = pool.backward(g)
+        # only the sign of a zero may differ: the chain masks after summing
+        # the windows' gradients, and MaxMin subtracts its halves
+        assert dx.dtype == ref_dx.dtype and np.array_equal(dx, ref_dx)
+        results.append((dx.tobytes(), pool.kink_signature()))
+    assert results[0] == results[1]
+
+    # on y the signatures differ iff the routes or signs do, and iff the
+    # chain's routes and ReLU mask at its outputs differ: a function of
+    # the chain's state, so the gradient check skips no entry it would not
+    sig, state = results[1][1], pool._routes()
+    pool.forward(y, relu=relu)
+    same_state = all(np.array_equal(a, b) for a, b in zip(state, pool._routes()))
+    assert (pool.kink_signature() == sig) == same_state
+    assert (pool.kink_signature() == sig) == (run_chain(y)[2] == chain_sig)
+
+
 @settings(max_examples=300, deadline=None)
 @given(pool_cases())
 def test_signed_pool_is_the_maxmin_relu_maxpool_chain(case):
-    """forward(x, relu=2) is MaxMin, ReLU, MaxPool; forward(x, relu=1) is ReLU, MaxPool."""
     window, stride, x, seed = case
     r = np.random.default_rng(seed)
     y = x.copy()  # a second input one changed entry away
     y.flat[r.integers(x.size)] = r.choice(POOL_VALUES)
     for relu in (1, 2):
-        def run_chain(x):
-            """The chain's output, and each output's route and ReLU mask at that route."""
-            chain = [L.MaxMin(), L.ReLU(), L.MaxPool(window, stride)][2 - relu:]
-            for layer in chain:
-                x = layer.forward(x, train=True)
-            active = x > 0
-            return chain, x, (chain[-1]._routes()[0] * active).tobytes() + active.tobytes()
+        assert_relu_pool_is_chain(window, stride, x, y, relu, r)
 
-        chain, ref, chain_sig = run_chain(x)
-        g = r.standard_normal(ref.shape).astype(x.dtype)
-        ref_dx = g
-        for layer in reversed(chain):
-            ref_dx = layer.backward(ref_dx)
 
-        results = []
-        for train in (True, False):
-            pool = L.MaxPool(window, stride)
-            out = pool.forward(x, train=train, relu=relu)
-            assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
-            assert (pool._cache[2] is None) == (not train)  # an eval forward tracks no route
-            dx = pool.backward(g)
-            # only the sign of a zero may differ: the chain masks after summing
-            # the windows' gradients, and MaxMin subtracts its halves
-            assert dx.dtype == ref_dx.dtype and np.array_equal(dx, ref_dx)
-            results.append((dx.tobytes(), pool.kink_signature()))
-        assert results[0] == results[1]
+@pytest.mark.parametrize("relu,x,y", [
+    # the max half of the second window is <= 0: its route moves, its output stays 0
+    (1, [[5, 2, -3, -1], [1, 4, -2, -4]], [[5, 2, -0.5, -1], [1, 4, -2, -4]]),
+    # the min half of the second window is >= 0: its route moves, relu(-min) stays 0
+    (2, [[-5, 2, 1, 3], [-1, 4, 2, 4]], [[-5, 2, 1, 3], [-1, 4, 0.5, 4]]),
+], ids=["relu1-max-half", "relu2-min-half"])
+def test_relu_pool_signature_ignores_a_route_the_relu_zeroes(relu, x, y):
+    """An edit that moves only the route of an output the ReLU zeroes keeps the signature.
 
-        # on y the signatures differ iff the routes or signs do, and iff the
-        # chain's routes and ReLU mask at its outputs differ: a function of
-        # the chain's state, so the gradient check skips no entry it would not
-        sig, state = results[1][1], pool._routes()
-        pool.forward(y, relu=relu)
-        same_state = all(np.array_equal(a, b) for a, b in zip(state, pool._routes()))
-        assert (pool.kink_signature() == sig) == same_state
-        assert (pool.kink_signature() == sig) == (run_chain(y)[2] == chain_sig)
+    The chain's gradient there is 0 wherever the route points, so the
+    fused pool's signature must not change either: a finer one would
+    make the gradient check skip entries that the chain's enforces.
+    """
+    x, y = (np.array(a, np.float64).reshape(1, 1, 2, 4) for a in (x, y))
+
+    def first_extreme(v):
+        """Each window's first max (first min, for relu=2)."""
+        plain = L.MaxPool(2, 2)
+        plain.forward(v if relu == 1 else -v, train=True)
+        return plain._routes()[0]
+
+    assert not np.array_equal(first_extreme(x), first_extreme(y))
+    pool = L.MaxPool(2, 2)
+    pool.forward(x, train=True, relu=relu)
+    sig = pool.kink_signature()
+    pool.forward(y, train=True, relu=relu)
+    assert pool.kink_signature() == sig
+    assert_relu_pool_is_chain(2, 2, x, y, relu, np.random.default_rng(0))
 
 
 class TestLRN:

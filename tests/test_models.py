@@ -125,8 +125,21 @@ class TestPresets:
         ([dict(kind="flatten"), dict(kind="dense", **{"in": 63}, out=10)], "63 features"),
         ([dict(kind="flatten"), dict(kind="dense", **{"in": 64}, out=9)], "9 outputs"),
         ([dict(kind="flatten")], "64 outputs"),
+        ([dict(kind="flatten"), dict(kind="conv", **{"in": 64}, filters=10, kernel=1, stride=1,
+                                     pad=0)], "conv cannot take flat input"),
+        ([dict(kind="flatten"), dict(kind="pool", window=1, stride=1)] + TAIL[1:],
+         "pool cannot take flat input"),
+        # 10 channels of 1x1 are 10 values per image, but not flat class scores
+        ([dict(kind="conv", **{"in": 4}, filters=10, kernel=4, stride=1, pad=0)],
+         r"unflattened \[10, 1, 1\] map"),
+        # a layer is built before its shape is checked: its constructor rejects
+        # a negative size, which numpy's Gaussian draw would raise as ValueError
+        ([dict(kind="conv", **{"in": 4}, filters=10, kernel=-1, stride=1, pad=0)] + TAIL,
+         "kernel -1"),
+        ([dict(kind="flatten"), dict(kind="dense", **{"in": 64}, out=-1)], "64->-1"),
     ], ids=["lrn-groups-0", "lrn-groups-3", "dense-unflattened", "dense-in", "dense-out",
-            "no-dense"])
+            "no-dense", "conv-after-flatten", "pool-after-flatten", "ends-on-map",
+            "conv-kernel", "dense-out-negative"])
     def test_bad_spec_fails_at_build(self, layers, match):
         spec = models.NetworkSpec(input_shape=(4, 4, 4), num_classes=10, layers=layers)
         with pytest.raises(ConfigError, match=match):
@@ -135,6 +148,20 @@ class TestPresets:
                                   layers=[dict(kind="lrn", groups=2, **models.LRN_DEFAULTS)]
                                   + self.TAIL)
         assert models.build_network(good).forward(np.zeros((1, 4, 4, 4))).shape == (1, 10)
+
+    def test_flat_features_take_maxmin_lrn_relu_dropout(self):
+        """Each of these runs on (N, features), so it may follow a flatten."""
+        spec = models.NetworkSpec(input_shape=(4, 4, 4), num_classes=10, layers=[
+            dict(kind="flatten"), dict(kind="maxmin"),
+            dict(kind="lrn", groups=2, **models.LRN_DEFAULTS), dict(kind="relu"),
+            dict(kind="dropout", p=0.5), dict(kind="dense", **{"in": 128}, out=10),
+        ])
+        net = models.build_network(spec, seed=2)
+        x = np.random.default_rng(2).standard_normal((3, 4, 4, 4))
+        for train in (True, False):
+            loss, probs = net.loss(x, np.array([0, 5, 9]), train=train)
+            assert probs.shape == (3, 10) and np.isfinite(loss)
+            assert net.backward().shape == x.shape
 
 
 PRESET_SPECS = {

@@ -86,6 +86,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, **{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", -1), ("batch_size", 0), ("checkpoint_every", -1),
+    ])
+    def test_bad_loop_setting_fails_at_construction(self, field, value):
+        """(epoch + 1) % -1 == 0 held every epoch: -1 checkpointed each one."""
+        with pytest.raises(ValueError, match=f"{field}={value}"):
+            TrainConfig(**{"epochs": 1, field: value})
+
     def test_smoke_run_loss_decreases(self):
         data = synthetic_data(10, seed=2)
         net = tiny_net(seed=2)
