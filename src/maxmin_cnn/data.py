@@ -132,7 +132,6 @@ class ZcaTransform:
     """Per-pixel mean and symmetric whitening matrix U (L+eps)^-1/2 U^T."""
     mean: np.ndarray
     matrix: np.ndarray
-    epsilon: float
 
 
 def zca_fit(train_images, epsilon=0.1):
@@ -154,7 +153,7 @@ def zca_fit(train_images, epsilon=0.1):
     eigvals, eigvecs = (a.astype(dtype, copy=False) for a in np.linalg.eigh(cov))
     eigvals = np.maximum(eigvals, 0.0)
     matrix = (eigvecs * (1.0 / np.sqrt(eigvals + epsilon))) @ eigvecs.T
-    return ZcaTransform(mean=mean, matrix=matrix, epsilon=epsilon)
+    return ZcaTransform(mean=mean, matrix=matrix)
 
 
 def zca_apply(transform, images):

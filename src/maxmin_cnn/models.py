@@ -106,12 +106,15 @@ def build_network(spec, seed=0, dtype=np.float64):
 
     One walk of the descriptors builds each layer (its constructor checks
     its hyperparameters), checks the shape reaching it and sizes the shape
-    leaving it by the layers' own rules. ConfigError rejects a conv or pool
-    after a flatten (MaxMin, ReLU, LRN and dropout run on (N, features)),
-    a dense before one, a conv or dense whose ``in`` is not the width
-    reaching it, a size that is not whole, LRN groups not dividing the
-    channels, and a walk that does not end on ``num_classes`` flat features.
+    leaving it by the layers' own rules. ConfigError rejects an input shape
+    that is not (C, H, W), an unknown kind, a conv or pool after a flatten
+    (MaxMin, ReLU, LRN and dropout run on (N, features)), a dense before
+    one, a conv or dense whose ``in`` is not the width reaching it, a size
+    that is not whole, LRN groups not dividing the channels, and a walk
+    that does not end on ``num_classes`` flat features.
     """
+    if len(spec.input_shape) != 3:
+        raise ConfigError(f"input shape {tuple(spec.input_shape)} is not (C, H, W)")
     rng = np.random.default_rng(seed)
     objs = []
     c, h, w = spec.input_shape
@@ -309,6 +312,11 @@ def write_atomically(path, mode="w"):
         raise
 
 
+def _tensor_header(value):
+    """A tensor record's header: rank (u32), then each dim (u64), little-endian."""
+    return struct.pack(f"<I{value.ndim}Q", value.ndim, *value.shape)
+
+
 def save_weights(net, path):
     """Little-endian binary: magic, 8-byte spec hash, then per-parameter
     tensors as (rank: u32, dims: u64..., raw float64 data). Written atomically."""
@@ -316,13 +324,13 @@ def save_weights(net, path):
         fh.write(MAGIC)
         fh.write(net.spec.spec_hash())
         for _, _, value, _ in net.params():
-            fh.write(struct.pack("<I", value.ndim))
-            fh.write(struct.pack(f"<{value.ndim}Q", *value.shape))
+            fh.write(_tensor_header(value))
             fh.write(value.astype("<f8").tobytes())
 
 
 def load_weights(path, spec, seed=0, dtype=np.float64):
-    """Rebuild a network for ``spec`` and fill it from a weight file."""
+    """Rebuild a network for ``spec`` and fill it from a weight file; each
+    record must start with the header ``save_weights`` writes for its tensor."""
     net = build_network(spec, seed=seed, dtype=dtype)
     try:
         with open(path, "rb") as fh:
@@ -334,25 +342,16 @@ def load_weights(path, spec, seed=0, dtype=np.float64):
     if blob[8:16] != spec.spec_hash():
         raise WeightFileError(f"{path}: weight file was saved for a different architecture")
     off = 16
-    for _, name, value, _ in net.params():
-        try:
-            if off + 4 > len(blob):
-                raise struct.error("header")
-            (rank,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            dims = struct.unpack_from(f"<{rank}Q", blob, off)
-            off += 8 * rank
-            nbytes = 8 * int(np.prod(dims, dtype=np.int64))
-            if off + nbytes > len(blob):
-                raise struct.error("payload")
-            data = np.frombuffer(blob, dtype="<f8", count=int(np.prod(dims, dtype=np.int64)),
-                                 offset=off)
-            off += nbytes
-        except struct.error as exc:
-            raise WeightFileError(f"{path}: truncated at byte {off} reading {name}") from exc
-        if tuple(dims) != value.shape:
-            raise WeightFileError(f"{path}: tensor {name} has shape {dims}, expected {value.shape}")
-        value[...] = data.reshape(value.shape).astype(dtype)
+    for i, name, value, _ in net.params():
+        header = _tensor_header(value)
+        data = off + len(header)
+        end = data + 8 * value.size
+        if end > len(blob):
+            raise WeightFileError(f"{path}: truncated at byte {len(blob)} reading layer {i} {name}")
+        if blob[off:data] != header:
+            raise WeightFileError(f"{path}: layer {i} {name}: rank or dims are not {value.shape}")
+        value[...] = np.frombuffer(blob, "<f8", value.size, data).reshape(value.shape)
+        off = end
     if off != len(blob):
         raise WeightFileError(f"{path}: {len(blob) - off} trailing bytes after last tensor")
     return net

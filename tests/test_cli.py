@@ -11,6 +11,7 @@ import pytest
 
 from maxmin_cnn import cli, models
 from maxmin_cnn import data as D
+from maxmin_cnn.errors import WeightFileError
 
 rng = np.random.default_rng(77)
 
@@ -61,6 +62,9 @@ def cifar_dir(tmp_path):
         records[:, 0] = rng.integers(0, 10, 8)
         (tmp_path / name).write_bytes(records.tobytes())
     return tmp_path
+
+
+CONV1_DIMS = 20  # a weight file's first dims: conv1's rank (u32) sits at byte 16
 
 
 class TestParams:
@@ -245,6 +249,28 @@ class TestValidation:
         assert code == 3
         assert f"data error: {weights}: cannot read weight file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda blob: blob[:18], "truncated at byte 18 reading layer 0 weights"),
+        (lambda blob: blob[:-8], "truncated"),
+        (lambda blob: blob[:CONV1_DIMS] + struct.pack("<Q", 3) + blob[CONV1_DIMS + 8:],
+         r"layer 0 weights: rank or dims are not \(2, 1, 5, 5\)"),
+        # 3 * 2**62 wraps int64: dims read from the file once sized a negative count (exit 2)
+        (lambda blob: blob[:CONV1_DIMS] + struct.pack("<4Q", 2**62, 3, 1, 1)
+         + blob[CONV1_DIMS + 32:], "rank or dims are not"),
+        (lambda blob: blob + b"\0", "1 trailing bytes"),
+    ], ids=["header-cut", "payload-cut", "dim-changed", "dims-wrap-int64", "trailing-byte"])
+    def test_corrupt_weights_exit_3(self, corrupt, message, mnist_dir, capsys):
+        spec = models.preset_spec("mnist", "baseline", (2, 2, 2))
+        weights = mnist_dir / "weights.bin"
+        models.save_weights(models.build_network(spec), weights)
+        weights.write_bytes(corrupt(weights.read_bytes()))
+        with pytest.raises(WeightFileError, match=message):
+            models.load_weights(weights, spec)
+        code = cli.main(["eval", "--dataset", "mnist", "--filters", "2,2,2",
+                         "--weights", str(weights), "--data-dir", str(mnist_dir)])
+        assert code == 3
+        assert f"data error: {weights}: " in capsys.readouterr().err
+
     def test_no_data_dir_exit_3(self, monkeypatch):
         monkeypatch.delenv("DATA_DIR", raising=False)
         parser_default_none = cli.main(["train", "--dataset", "mnist",
@@ -254,6 +280,14 @@ class TestValidation:
 
 def test_cli_builds_through_models():
     assert cli.build_net is models.build_net
+
+
+def test_divergence_exit_4(mnist_dir, tmp_path, capsys):
+    code = cli.main(["train", "--dataset", "mnist", "--filters", "2,2,2", "--epochs", "3",
+                     "--batch-size", "8", "--lr", "1e30", "--data-dir", str(mnist_dir),
+                     "--out", str(tmp_path / "run")])
+    assert code == 4
+    assert capsys.readouterr().err == "divergence: non-finite loss at epoch 0 batch 1\n"
 
 
 class TestGradcheckCommand:
@@ -289,6 +323,25 @@ class TestTrainEvalRoundTrip:
             "--weights", str(out_dir / "best.bin"), "--data-dir", str(mnist_dir),
         ])
         assert code == 0
+        assert "test_acc=" in capsys.readouterr().out
+
+    def test_float32_train_and_eval(self, mnist_dir, tmp_path, monkeypatch, capsys):
+        dtypes = {}
+
+        def spy(net, train_split, val_split, config, test_data=None):
+            dtypes["params"] = {v.dtype for _, _, v, _ in net.params()}
+            dtypes["splits"] = [s.images.dtype for s in (train_split, val_split, test_data)]
+            return train(net, train_split, val_split, config, test_data=test_data)
+
+        train = cli.train
+        monkeypatch.setattr(cli, "train", spy)
+        out_dir = tmp_path / "run"
+        common = ["--dataset", "mnist", "--arch", "maxmin", "--filters", "2,2,2",
+                  "--data-dir", str(mnist_dir)]
+        assert cli.main(["train", *common, "--float32", "--epochs", "1", "--batch-size", "10",
+                         "--out", str(out_dir)]) == 0
+        assert dtypes == {"params": {np.dtype(np.float32)}, "splits": [np.float32] * 3}
+        assert cli.main(["eval", *common, "--weights", str(out_dir / "best.bin")]) == 0
         assert "test_acc=" in capsys.readouterr().out
 
     @pytest.mark.parametrize("dataset,test_files,n", [

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -137,11 +139,19 @@ class TestPresets:
         ([dict(kind="conv", **{"in": 4}, filters=10, kernel=-1, stride=1, pad=0)] + TAIL,
          "kernel -1"),
         ([dict(kind="flatten"), dict(kind="dense", **{"in": 64}, out=-1)], "64->-1"),
+        ([dict(kind="conv", **{"in": 3}, filters=4, kernel=1, stride=1, pad=0)] + TAIL,
+         "conv expects 3 channels, chain provides 4"),
+        ([dict(kind="softplus")] + TAIL, "unknown layer kind 'softplus'"),
+        # a whole spec: the input shape is what is wrong
+        (models.NetworkSpec((1, 4), 10, TAIL), r"input shape \(1, 4\) is not \(C, H, W\)"),
+        (models.NetworkSpec((1, 4, 4, 4), 10, TAIL), r"input shape \(1, 4, 4, 4\) is not"),
     ], ids=["lrn-groups-0", "lrn-groups-3", "dense-unflattened", "dense-in", "dense-out",
             "no-dense", "conv-after-flatten", "pool-after-flatten", "ends-on-map",
-            "conv-kernel", "dense-out-negative"])
+            "conv-kernel", "dense-out-negative", "conv-in", "unknown-kind", "input-2d",
+            "input-4d"])
     def test_bad_spec_fails_at_build(self, layers, match):
-        spec = models.NetworkSpec(input_shape=(4, 4, 4), num_classes=10, layers=layers)
+        spec = layers if isinstance(layers, models.NetworkSpec) else models.NetworkSpec(
+            input_shape=(4, 4, 4), num_classes=10, layers=layers)
         with pytest.raises(ConfigError, match=match):
             models.build_network(spec)
         good = models.NetworkSpec(input_shape=(4, 4, 4), num_classes=10,
@@ -414,6 +424,20 @@ class TestWeightFiles:
         path.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(WeightFileError, match="truncated"):
             models.load_weights(path, net.spec)
+
+    def test_record_layout_is_pinned(self, tmp_path):
+        """Magic, spec hash, then per tensor: rank (u32), dims (u64), float64 data."""
+        net = models.build_net("cifar10", "maxmin", filters=(2, 2, 2), boost=True, seed=3,
+                               dtype=np.float32)
+        path = tmp_path / "w.bin"
+        models.save_weights(net, path)
+        records = (struct.pack(f"<I{v.ndim}Q", v.ndim, *v.shape) + v.astype("<f8").tobytes()
+                   for _, _, v, _ in net.params())
+        assert path.read_bytes() == b"MAXMIN01" + net.spec.spec_hash() + b"".join(records)
+        loaded = models.load_weights(path, net.spec, dtype=np.float32)
+        for (_, _, a, _), (_, _, b, _) in zip(net.params(), loaded.params()):
+            assert b.dtype == np.float32
+            np.testing.assert_array_equal(a, b)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "w.bin"

@@ -1,3 +1,4 @@
+import dataclasses
 import types
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import maxmin_cnn
 from maxmin_cnn import layers as L
 from maxmin_cnn import models
-from maxmin_cnn.data import LabeledImages
+from maxmin_cnn.data import LabeledImages, zca_apply, zca_fit
 from maxmin_cnn.errors import DivergenceError
 from maxmin_cnn.layers import Dense
 from maxmin_cnn.train import (METRICS_HEADER, EpochMetrics, GradCheckEntry, GradCheckReport,
@@ -115,6 +116,38 @@ class TestTrainLoop:
         w2, m2 = run()
         np.testing.assert_array_equal(w1, w2)
         assert m1 == m2
+
+    def test_boosted_run_is_seeded_and_scores_whitened_val(self, tmp_path):
+        """augment + zca on a small MaxMin/LRN/dropout net: ZCA fits a 192x192 covariance."""
+        spec = models.NetworkSpec(input_shape=(3, 8, 8), num_classes=10, layers=[
+            dict(kind="conv", **{"in": 3}, filters=2, kernel=3, stride=1, pad=1),
+            dict(kind="maxmin"), dict(kind="relu"), dict(kind="pool", window=2, stride=2),
+            dict(kind="lrn", groups=2, **models.LRN_DEFAULTS), dict(kind="flatten"),
+            dict(kind="dropout", p=0.5), dict(kind="dense", **{"in": 64}, out=10),
+        ])
+        train_data = synthetic_data(32, shape=(3, 8, 8), seed=10)
+        val_data = synthetic_data(40, shape=(3, 8, 8), seed=11)
+
+        def run(out):
+            config = TrainConfig(epochs=3, batch_size=8, seed=0, learning_rate=1.0,
+                                 augment=True, zca=True, checkpoint_every=1, out_dir=str(out))
+            _, metrics = train(models.build_network(spec), train_data, val_data, config)
+            return [dataclasses.replace(m, seconds=0.0) for m in metrics]
+
+        m1, m2 = run(tmp_path / "a"), run(tmp_path / "b")
+        assert m1 == m2
+        whitened = dataclasses.replace(
+            val_data, images=zca_apply(zca_fit(train_data.images), val_data.images))
+        raw_accs = []
+        for m in m1:
+            name = f"epoch_{m.epoch}.bin"
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+            net = models.load_weights(tmp_path / "a" / name, spec)
+            assert m.val_acc == evaluate(net, whitened)
+            raw_accs.append(evaluate(net, val_data))
+        # at this rate epoch 1 scores 0.075 whitened and 0.175 raw: scoring the
+        # unwhitened val images would fail the check above
+        assert raw_accs != [m.val_acc for m in m1]
 
     def test_divergence_aborts_with_coordinates(self):
         net = tiny_net(seed=6)
