@@ -5,6 +5,6 @@ from .errors import (ConfigError, DataError, DivergenceError, LayerStateError, M
 from .models import (Network, NetworkSpec, build_net, build_network, load_weights, preset_spec,
                      reduce_to_baseline, save_weights)
 from .optim import SGD, PlateauScheduler
-from .train import TrainConfig, evaluate, grad_check, grad_check_layer
+from .train import TrainConfig, evaluate, grad_check
 
 __version__ = "0.1.0"

@@ -73,8 +73,12 @@ def load_mnist(images_path, labels_path):
         raise DataError(f"{labels_path}: {ln} labels for {n} images")
     if len(lblob) - loff < ln:
         raise DataError(f"{labels_path}: truncated label payload at byte {len(lblob)}")
-    labels = np.frombuffer(lblob, dtype=np.uint8, count=ln, offset=loff).astype(np.int64)
-    return LabeledImages(images, labels)
+    labels = np.frombuffer(lblob, dtype=np.uint8, count=ln, offset=loff)
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        raise DataError(f"{labels_path}: label {labels[bad[0]]} at byte {loff + bad[0]} "
+                        "is out of range [0, 9]")
+    return LabeledImages(images, labels.astype(np.int64))
 
 
 def load_cifar10(batch_paths):

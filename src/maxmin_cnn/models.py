@@ -337,8 +337,10 @@ def load_weights(path, spec, seed=0, dtype=np.float64):
             blob = fh.read()
     except OSError as exc:
         raise WeightFileError(f"{path}: cannot read weight file: {exc.strerror}") from exc
-    if blob[:8] != MAGIC:
+    if blob[:8] != MAGIC[:len(blob)]:
         raise WeightFileError(f"{path}: not a weight file (bad magic)")
+    if len(blob) < 16:
+        raise WeightFileError(f"{path}: truncated at byte {len(blob)} in the magic or spec hash")
     if blob[8:16] != spec.spec_hash():
         raise WeightFileError(f"{path}: weight file was saved for a different architecture")
     off = 16

@@ -181,53 +181,6 @@ def _rel_error(a, n):
     return abs(a - n) / max(abs(a), abs(n), 1e-5)
 
 
-def _check_entries(replay, targets, tolerance, step, samples_per_layer, rng):
-    """Shared central-difference sweep.
-
-    Each target is (layer_idx, name, value, grad). ``replay(layer_idx)``
-    re-evaluates after an entry of that target is perturbed and returns
-    (loss, signature), so a caller may re-run only what the perturbation
-    can change.
-
-    The loss of a ReLU/max-pool network is only piecewise smooth; a
-    perturbation interval that crosses a kink makes the secant
-    meaningless. The signature captures the active linear piece
-    (ReLU masks, pooling argmax routes) after each evaluation, and an
-    entry whose endpoints land on different pieces is excluded when it
-    misses the tolerance: no derivative exists there to compare against.
-    Entries on a single piece are always enforced, so a wrong backward
-    pass still fails on the overwhelming smooth majority.
-    """
-    entries = []
-    skipped = 0
-    for layer_idx, name, p, g in targets:
-        count = min(samples_per_layer, p.size)
-        picks = rng.choice(p.size, size=count, replace=False)
-        flat = p.reshape(-1)
-        for k in picks:
-            orig = flat[k]
-            flat[k] = orig + step
-            lp, sig_p = replay(layer_idx)
-            flat[k] = orig - step
-            lm, sig_m = replay(layer_idx)
-            flat[k] = orig
-            numeric = (lp - lm) / (2.0 * step)
-            analytic = g.reshape(-1)[k]
-            err = _rel_error(analytic, numeric)
-            if err > tolerance and sig_p != sig_m:
-                skipped += 1
-                continue
-            entries.append(GradCheckEntry(layer_idx, name, int(k), float(analytic),
-                                          float(numeric), err))
-    entries.sort(key=lambda e: e.error, reverse=True)
-    max_error = entries[0].error if entries else 0.0
-    return GradCheckReport(
-        passed=max_error <= tolerance, tolerance=tolerance, max_error=max_error,
-        checked=len(entries), skipped_nonsmooth=skipped,
-        worst=[e for e in entries if e.error > tolerance][:20] or entries[:5],
-    )
-
-
 def grad_check(net, x, labels, tolerance=1e-4, step=1e-5, samples_per_layer=200, seed=0):
     """Compare analytic gradients of the batch loss with central differences.
 
@@ -238,8 +191,21 @@ def grad_check(net, x, labels, tolerance=1e-4, step=1e-5, samples_per_layer=200,
     layer k on, from that recorded input (the network input replays them
     all). The calls before k would recompute bit-identical outputs, since
     no layer changes its input, so every loss equals that of a full
-    forward. Kink signatures are joined over the replayed calls only: the
-    others are unchanged.
+    forward.
+
+    The loss of a ReLU/max-pool network is only piecewise smooth; a
+    perturbation interval that crosses a kink makes the secant
+    meaningless. The kink signature, joined over the replayed calls (the
+    others are unchanged), captures the active linear piece (ReLU masks,
+    pooling argmax routes) after each evaluation, and an entry whose
+    endpoints land on different pieces is excluded when it misses the
+    tolerance: no derivative exists there to compare against. Entries on
+    a single piece are always enforced, so a wrong backward pass still
+    fails on the overwhelming smooth majority.
+
+    The loss is whatever ``net.loss_layer`` computes: any object with
+    ``forward(output, labels)`` returning (loss, _) and ``backward()``
+    returning d loss / d output can stand in for the softmax head.
     """
     rng = np.random.default_rng(seed)
     x = np.ascontiguousarray(x)
@@ -263,25 +229,30 @@ def grad_check(net, x, labels, tolerance=1e-4, step=1e-5, samples_per_layer=200,
         loss, _ = net.loss_layer.forward(h, labels)
         return loss, b"".join(layer.kink_signature() for layer, _ in suffix)
 
-    return _check_entries(replay, targets, tolerance, step, samples_per_layer, rng)
-
-
-def grad_check_layer(layer, x, tolerance=1e-4, step=1e-5, samples_per_layer=200, seed=0):
-    """Gradient-check a single layer through a fixed linear probe loss.
-
-    The loss is sum(forward(x) * R) for a frozen random projection R, so
-    the analytic input gradient is backward(R).
-    """
-    rng = np.random.default_rng(seed)
-    x = np.ascontiguousarray(x)
-    layer.zero_grads()
-    out = layer.forward(x, train=False)
-    probe = rng.standard_normal(out.shape)
-    dx = layer.backward(probe)
-    targets = [(0, name, p, g.copy()) for name, p, g in layer.params()]
-    targets.append((0, "input", x, dx))
-
-    def replay(_layer_idx):
-        return float((layer.forward(x, train=False) * probe).sum()), layer.kink_signature()
-
-    return _check_entries(replay, targets, tolerance, step, samples_per_layer, rng)
+    entries = []
+    skipped = 0
+    for layer_idx, name, p, g in targets:
+        picks = rng.choice(p.size, size=min(samples_per_layer, p.size), replace=False)
+        flat = p.reshape(-1)
+        for k in picks:
+            orig = flat[k]
+            flat[k] = orig + step
+            lp, sig_p = replay(layer_idx)
+            flat[k] = orig - step
+            lm, sig_m = replay(layer_idx)
+            flat[k] = orig
+            numeric = (lp - lm) / (2.0 * step)
+            analytic = g.reshape(-1)[k]
+            err = _rel_error(analytic, numeric)
+            if err > tolerance and sig_p != sig_m:
+                skipped += 1
+                continue
+            entries.append(GradCheckEntry(layer_idx, name, int(k), float(analytic),
+                                          float(numeric), err))
+    entries.sort(key=lambda e: e.error, reverse=True)
+    max_error = entries[0].error if entries else 0.0
+    return GradCheckReport(
+        passed=max_error <= tolerance, tolerance=tolerance, max_error=max_error,
+        checked=len(entries), skipped_nonsmooth=skipped,
+        worst=[e for e in entries if e.error > tolerance][:20] or entries[:5],
+    )

@@ -13,7 +13,9 @@ import pytest
 from maxmin_cnn import layers as L
 from maxmin_cnn import models
 from maxmin_cnn.data import LabeledImages, load_mnist, split_train_val
-from maxmin_cnn.train import TrainConfig, evaluate, grad_check, grad_check_layer, train
+from maxmin_cnn.train import TrainConfig, evaluate, grad_check, train
+
+from layer_probe import probe_grad_check
 
 rng = np.random.default_rng(2024)
 
@@ -39,21 +41,25 @@ def _synthetic(n, shape=(1, 32, 32), seed=0):
 
 
 class TestCriterion1GradientChecks:
+    # each case is a one-step network: a layer, or a fused [MaxMin,] ReLU, MaxPool step
     LAYER_CASES = [
-        ("conv2d", lambda: _scaled(L.Conv2D(2, 3, 3, stride=1, pad=1,
-                                            rng=np.random.default_rng(0))), (2, 2, 6, 6)),
-        ("maxmin", lambda: L.MaxMin(), (2, 3, 5, 5)),
-        ("relu", lambda: L.ReLU(), (2, 3, 5, 5)),
-        ("maxpool", lambda: L.MaxPool(3, 2), (2, 2, 7, 7)),
-        ("lrn", lambda: L.LRN(depth_radius=2, k=1.0, alpha=0.5, beta=0.75), (2, 6, 4, 4)),
-        ("dense", lambda: _scaled(L.Dense(12, 7, rng=np.random.default_rng(1))), (4, 12)),
-        ("dropout_eval", lambda: L.Dropout(0.4, rng=np.random.default_rng(2)), (3, 4, 4, 4)),
+        ("conv2d", lambda: [_scaled(L.Conv2D(2, 3, 3, stride=1, pad=1,
+                                             rng=np.random.default_rng(0)))], (2, 2, 6, 6)),
+        ("maxmin", lambda: [L.MaxMin()], (2, 3, 5, 5)),
+        ("relu", lambda: [L.ReLU()], (2, 3, 5, 5)),
+        ("maxpool", lambda: [L.MaxPool(3, 2)], (2, 2, 7, 7)),
+        ("maxmin_relu_pool", lambda: [L.MaxMin(), L.ReLU(), L.MaxPool(3, 2)], (2, 2, 7, 7)),
+        ("relu_pool", lambda: [L.ReLU(), L.MaxPool(3, 2)], (2, 2, 7, 7)),
+        ("lrn", lambda: [L.LRN(depth_radius=2, k=1.0, alpha=0.5, beta=0.75)], (2, 6, 4, 4)),
+        ("dense", lambda: [_scaled(L.Dense(12, 7, rng=np.random.default_rng(1)))], (4, 12)),
+        ("dropout_eval", lambda: [L.Dropout(0.4, rng=np.random.default_rng(2))], (3, 4, 4, 4)),
     ]
 
     @pytest.mark.parametrize("name,factory,shape", LAYER_CASES, ids=[c[0] for c in LAYER_CASES])
     def test_each_layer(self, name, factory, shape):
+        assert len(models.Network(None, factory(), seed=0).steps) == 1
         x = np.random.default_rng(sum(map(ord, name))).standard_normal(shape)
-        report = grad_check_layer(factory(), x, tolerance=1e-4, step=1e-5)
+        report = probe_grad_check(factory(), x, tolerance=1e-4, step=1e-5)
         _report(f"1. layer gradients ({name})", report.passed)
 
     @pytest.mark.parametrize("kind", ["baseline", "maxmin"])

@@ -13,8 +13,6 @@ from maxmin_cnn import cli, models
 from maxmin_cnn import data as D
 from maxmin_cnn.errors import WeightFileError
 
-rng = np.random.default_rng(77)
-
 
 def _write_idx(directory, split, images, labels):
     """Write uint8 (n, 28, 28) images and labels as one MNIST IDX split."""
@@ -47,6 +45,7 @@ def _learnable(n, shape, seed):
 @pytest.fixture
 def mnist_dir(tmp_path):
     """Tiny synthetic dataset in the canonical MNIST IDX layout."""
+    rng = np.random.default_rng(77)
     for split, n in (("train", 40), ("t10k", 10)):
         images = rng.integers(0, 256, (n, 28, 28), dtype=np.uint8)
         labels = rng.integers(0, 10, n, dtype=np.uint8)
@@ -57,6 +56,7 @@ def mnist_dir(tmp_path):
 @pytest.fixture
 def cifar_dir(tmp_path):
     """Eight synthetic CIFAR-10 records per binary batch."""
+    rng = np.random.default_rng(78)
     for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
         records = rng.integers(0, 256, (8, D.CIFAR_RECORD_BYTES), dtype=np.uint8)
         records[:, 0] = rng.integers(0, 10, 8)
@@ -242,6 +242,24 @@ class TestValidation:
         assert "MNIST test files hold no images" in err
         assert str(mnist_dir / "t10k-images-idx3-ubyte") in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_mnist_label_out_of_range_exit_3(self, command, mnist_dir, capsys):
+        """Label byte 12: train used to exit 2 after the build, and eval scored it a miss."""
+        for split in ("train", "t10k"):
+            path = mnist_dir / f"{split}-labels-idx1-ubyte"
+            blob = path.read_bytes()
+            path.write_bytes(blob[:8] + bytes([12]) + blob[9:])
+        args = ["train", "--epochs", "1", "--out", str(mnist_dir / "out")]
+        if command == "eval":
+            weights = mnist_dir / "weights.bin"
+            models.save_weights(models.build_net("mnist", filters=(2, 2, 2)), weights)
+            args = ["eval", "--weights", str(weights)]
+        code = cli.main(args + ["--dataset", "mnist", "--filters", "2,2,2",
+                                "--data-dir", str(mnist_dir)])
+        assert code == 3
+        assert "-labels-idx1-ubyte: label 12 at byte 8 is out of range [0, 9]" in (
+            capsys.readouterr().err)
+
     def test_eval_missing_weights_exit_3(self, mnist_dir, capsys):
         weights = mnist_dir / "absent.bin"
         code = cli.main(["eval", "--dataset", "mnist", "--weights", str(weights),
@@ -250,6 +268,7 @@ class TestValidation:
         assert f"data error: {weights}: cannot read weight file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corrupt,message", [
+        (lambda blob: blob[:11], "truncated at byte 11 in the magic or spec hash"),
         (lambda blob: blob[:18], "truncated at byte 18 reading layer 0 weights"),
         (lambda blob: blob[:-8], "truncated"),
         (lambda blob: blob[:CONV1_DIMS] + struct.pack("<Q", 3) + blob[CONV1_DIMS + 8:],
@@ -258,7 +277,8 @@ class TestValidation:
         (lambda blob: blob[:CONV1_DIMS] + struct.pack("<4Q", 2**62, 3, 1, 1)
          + blob[CONV1_DIMS + 32:], "rank or dims are not"),
         (lambda blob: blob + b"\0", "1 trailing bytes"),
-    ], ids=["header-cut", "payload-cut", "dim-changed", "dims-wrap-int64", "trailing-byte"])
+    ], ids=["hash-cut", "header-cut", "payload-cut", "dim-changed", "dims-wrap-int64",
+            "trailing-byte"])
     def test_corrupt_weights_exit_3(self, corrupt, message, mnist_dir, capsys):
         spec = models.preset_spec("mnist", "baseline", (2, 2, 2))
         weights = mnist_dir / "weights.bin"
@@ -396,6 +416,7 @@ class TestTrainEvalRoundTrip:
 
     def test_compare_emits_table(self, tmp_path, capsys, monkeypatch):
         # synthetic CIFAR batches
+        rng = np.random.default_rng(79)
         for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
             records = rng.integers(0, 256, (8, D.CIFAR_RECORD_BYTES), dtype=np.uint8)
             records[:, 0] = rng.integers(0, 10, 8)

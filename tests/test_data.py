@@ -68,11 +68,22 @@ class TestLoadMnist:
 
     def test_truncated_payload_reports_offset(self, mnist_files, tmp_path):
         ip, lp, _, _ = mnist_files
-        blob = ip.read_bytes()
         cut = tmp_path / "cut"
-        cut.write_bytes(blob[:-100])
-        with pytest.raises(DataError, match=r"byte \d+"):
-            D.load_mnist(cut, lp)
+        for path, keep, part in [(ip, -100, "image payload"), (ip, 10, "IDX header"),
+                                 (lp, -3, "label payload"), (lp, 6, "IDX header")]:
+            blob = path.read_bytes()[:keep]
+            cut.write_bytes(blob)
+            with pytest.raises(DataError, match=f"{cut}: truncated {part} at byte {len(blob)}"):
+                D.load_mnist(*((cut, lp) if path == ip else (ip, cut)))
+
+    def test_label_out_of_range(self, mnist_files, tmp_path):
+        ip, _, _, labels = mnist_files
+        labels = labels.copy()
+        labels[3] = 12
+        lp = tmp_path / "bad_labels"
+        write_idx_labels(lp, labels)
+        with pytest.raises(DataError, match=f"{lp}: label 12 at byte 11 is out of range"):
+            D.load_mnist(ip, lp)
 
     def test_label_count_mismatch(self, mnist_files, tmp_path):
         ip, _, _, _ = mnist_files

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from maxmin_cnn import layers as L
 from maxmin_cnn.errors import ConfigError, LayerStateError, ShapeError
-from maxmin_cnn.train import grad_check_layer
+
+from layer_probe import probe_grad_check
 
 rng = np.random.default_rng(7)
 
@@ -197,7 +198,7 @@ class TestConv2D:
             conv = make_conv(in_c, f, 3, stride=1, pad=pad, seed=11, scale=0.5)
             x = rng.standard_normal((n, in_c) + size)
             assert conv.lowering(x.shape) == lowering
-            report = grad_check_layer(conv, x, tolerance=1e-4)
+            report = probe_grad_check([conv], x, tolerance=1e-4)
             assert report.passed, str(report)
 
     def test_channel_mismatch(self):
@@ -260,7 +261,7 @@ class TestMaxMin:
 
     def test_gradient_vs_finite_differences(self):
         x = rng.standard_normal((2, 3, 4, 4))
-        report = grad_check_layer(L.MaxMin(), x, tolerance=1e-6)
+        report = probe_grad_check([L.MaxMin()], x, tolerance=1e-6)
         assert report.passed, str(report)
 
 
@@ -276,7 +277,7 @@ class TestReLU:
     def test_gradient_off_kink(self):
         x = rng.standard_normal((3, 4, 5, 5))
         x[np.abs(x) < 1e-3] = 0.5  # keep inputs away from the kink
-        report = grad_check_layer(L.ReLU(), x, tolerance=1e-6)
+        report = probe_grad_check([L.ReLU()], x, tolerance=1e-6)
         assert report.passed, str(report)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -352,7 +353,7 @@ class TestMaxPool:
 
     def test_gradient_vs_finite_differences(self):
         x = rng.standard_normal((2, 2, 6, 6)) * 10  # well-separated values
-        report = grad_check_layer(L.MaxPool(window=3, stride=2), x, tolerance=1e-6)
+        report = probe_grad_check([L.MaxPool(window=3, stride=2)], x, tolerance=1e-6)
         assert report.passed, str(report)
 
     def test_route_is_one_byte_per_output(self):
@@ -549,12 +550,12 @@ class TestLRN:
     def test_gradient_vs_finite_differences(self):
         x = rng.standard_normal((2, 6, 4, 4))
         lrn = L.LRN(depth_radius=2, k=1.0, alpha=0.5, beta=0.75)
-        report = grad_check_layer(lrn, x, tolerance=1e-4)
+        report = probe_grad_check([lrn], x, tolerance=1e-4)
         assert report.passed, str(report)
 
     def test_grouped_gradient(self):
         x = rng.standard_normal((2, 8, 3, 3))
-        report = grad_check_layer(L.LRN(alpha=0.5, groups=2), x, tolerance=1e-4)
+        report = probe_grad_check([L.LRN(alpha=0.5, groups=2)], x, tolerance=1e-4)
         assert report.passed, str(report)
 
     def test_nonpositive_k(self):
@@ -580,7 +581,7 @@ class TestDense:
     def test_gradient_vs_finite_differences(self):
         d = L.Dense(6, 4)
         d.weights[...] = np.random.default_rng(3).standard_normal((4, 6))
-        report = grad_check_layer(d, rng.standard_normal((5, 6)), tolerance=1e-6)
+        report = probe_grad_check([d], rng.standard_normal((5, 6)), tolerance=1e-6)
         assert report.passed, str(report)
 
     def test_dimension_mismatch(self):

@@ -11,8 +11,9 @@ from maxmin_cnn.data import LabeledImages, zca_apply, zca_fit
 from maxmin_cnn.errors import DivergenceError
 from maxmin_cnn.layers import Dense
 from maxmin_cnn.train import (METRICS_HEADER, EpochMetrics, GradCheckEntry, GradCheckReport,
-                              TrainConfig, evaluate, grad_check, grad_check_layer, train,
-                              write_metrics)
+                              TrainConfig, evaluate, grad_check, train, write_metrics)
+
+from layer_probe import probe_grad_check
 
 rng = np.random.default_rng(55)
 
@@ -127,26 +128,31 @@ class TestTrainLoop:
         ])
         train_data = synthetic_data(32, shape=(3, 8, 8), seed=10)
         val_data = synthetic_data(40, shape=(3, 8, 8), seed=11)
+        test_data = synthetic_data(40, shape=(3, 8, 8), seed=12)
 
         def run(out):
             config = TrainConfig(epochs=3, batch_size=8, seed=0, learning_rate=1.0,
-                                 augment=True, zca=True, checkpoint_every=1, out_dir=str(out))
-            _, metrics = train(models.build_network(spec), train_data, val_data, config)
+                                 augment=True, zca=True, checkpoint_every=1, out_dir=str(out),
+                                 eval_test=True)
+            _, metrics = train(models.build_network(spec), train_data, val_data, config,
+                               test_data=test_data)
             return [dataclasses.replace(m, seconds=0.0) for m in metrics]
 
         m1, m2 = run(tmp_path / "a"), run(tmp_path / "b")
         assert m1 == m2
-        whitened = dataclasses.replace(
-            val_data, images=zca_apply(zca_fit(train_data.images), val_data.images))
+        zca = zca_fit(train_data.images)
+        whitened = dataclasses.replace(val_data, images=zca_apply(zca, val_data.images))
+        whitened_test = dataclasses.replace(test_data, images=zca_apply(zca, test_data.images))
         raw_accs = []
         for m in m1:
             name = f"epoch_{m.epoch}.bin"
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
             net = models.load_weights(tmp_path / "a" / name, spec)
             assert m.val_acc == evaluate(net, whitened)
+            assert m.test_acc == evaluate(net, whitened_test)
             raw_accs.append(evaluate(net, val_data))
-        # at this rate epoch 1 scores 0.075 whitened and 0.175 raw: scoring the
-        # unwhitened val images would fail the check above
+        # at this rate epoch 1 scores 0.075 whitened and 0.175 raw on val (0.025
+        # and 0.075 on test): scoring unwhitened images would fail the checks above
         assert raw_accs != [m.val_acc for m in m1]
 
     def test_divergence_aborts_with_coordinates(self):
@@ -245,7 +251,7 @@ class TestGradCheck:
     def test_linear_layer_tight(self):
         layer = Dense(8, 5)
         layer.weights[...] = np.random.default_rng(1).normal(0.0, 1.0, layer.weights.shape)
-        report = grad_check_layer(layer, rng.standard_normal((4, 8)), tolerance=1e-8)
+        report = probe_grad_check([layer], rng.standard_normal((4, 8)), tolerance=1e-8)
         assert report.passed, str(report)
 
     def test_full_tiny_net_passes(self):
@@ -266,7 +272,7 @@ class TestGradCheck:
             return out
 
         monkeypatch.setattr(Dense, "backward", sign_flipped)
-        report = grad_check_layer(layer, rng.standard_normal((4, 8)), tolerance=1e-4)
+        report = probe_grad_check([layer], rng.standard_normal((4, 8)), tolerance=1e-4)
         assert not report.passed
         assert any(e.name == "weights" for e in report.worst)
 
