@@ -59,11 +59,10 @@ class Conv2D(Layer):
     nothing reads the input gradient of conv1.
     """
 
-    def __init__(self, in_channels, filters, kernel_size, stride=1, pad=0,
-                 rng=None, dtype=np.float64):
+    def __init__(self, in_channels, filters, kernel_size, stride=1, pad=0, *,
+                 rng, dtype=np.float64):
         if min(in_channels, filters, kernel_size) < 1:
             raise ConfigError(f"Conv2D: bad {in_channels}->{filters} channels, kernel {kernel_size}")
-        rng = rng or np.random.default_rng()
         self.stride = stride
         self.pad = pad
         self.weights = rng.normal(0.0, 0.01,
@@ -482,10 +481,9 @@ class Flatten(Layer):
 class Dense(Layer):
     """Fully connected layer, out = x @ W.T + b with W of shape (out, in)."""
 
-    def __init__(self, in_features, out_features, rng=None, dtype=np.float64):
+    def __init__(self, in_features, out_features, *, rng, dtype=np.float64):
         if min(in_features, out_features) < 1:
             raise ConfigError(f"Dense: bad {in_features}->{out_features} features")
-        rng = rng or np.random.default_rng()
         self.weights = rng.normal(0.0, 0.01, (out_features, in_features)).astype(dtype)
         self.bias = np.zeros(out_features, dtype=dtype)
         self.w_grad = np.zeros_like(self.weights)
@@ -511,11 +509,11 @@ class Dense(Layer):
 class Dropout(Layer):
     """Inverted dropout: train-time mask scaled by 1/(1-p) in the input's dtype; eval identity."""
 
-    def __init__(self, p, rng=None):
+    def __init__(self, p, *, rng):
         if not 0.0 <= p < 1.0:
             raise ConfigError(f"Dropout: p must be in [0, 1), got {p}")
         self.p = p
-        self.rng = rng or np.random.default_rng()
+        self.rng = rng
         self._mask = None
 
     def forward(self, x, train=False):

@@ -167,14 +167,14 @@ PRESETS = {
 
 
 def preset_spec(dataset, arch="baseline", filters=None, boost=False):
-    """Three conv->relu->pool blocks and a dense head for one dataset.
+    """Three conv->maxmin->relu->pool blocks and a dense head for one dataset.
 
     MNIST (1x32x32, digits zero-padded by 2) has LRN after every pool and
     one dense layer. CIFAR-10 (3x32x32) has two dense layers; ``boost``
     adds LRN after each pool and dropout(0.5) before each dense layer.
-    The maxmin arch inserts a MaxMin layer between each conv and its ReLU
-    and widens every following layer to the doubled depth; LRN runs per
-    half so the original and negated maps normalize independently.
+    Each MaxMin doubles the depth that the layers after it read; LRN runs
+    per half so the original and negated maps normalize independently.
+    The baseline arch is ``baseline_of`` this spec.
     """
     if dataset not in PRESETS or arch not in ("baseline", "maxmin"):
         raise ConfigError(f"unknown preset {dataset!r}/{arch!r}")
@@ -184,20 +184,18 @@ def preset_spec(dataset, arch="baseline", filters=None, boost=False):
     filters = default_filters if filters is None else filters
     if any(f < 1 for f in filters):
         raise ConfigError(f"filter counts must be positive, got {filters}")
-    maxmin = arch == "maxmin"
     lrn = boost or dataset == "mnist"
     dropout = 0.5 if boost else None
     descs = []
     c, side = input_shape[:2]  # square inputs
     for f in filters:
         descs.append(dict(kind="conv", **{"in": c}, filters=f, kernel=5, stride=1, pad=2))
-        if maxmin:
-            descs.append(dict(kind="maxmin"))
+        descs.append(dict(kind="maxmin"))
         descs.append(dict(kind="relu"))
         descs.append(dict(kind="pool", window=3, stride=2))
         if lrn:
-            descs.append(dict(kind="lrn", groups=2 if maxmin else 1, **LRN_DEFAULTS))
-        c = 2 * f if maxmin else f
+            descs.append(dict(kind="lrn", groups=2, **LRN_DEFAULTS))
+        c = 2 * f
         side = pool_out_size(conv_out_size(side, 5, 1, 2), 3, 2)
     descs.append(dict(kind="flatten"))
     flat = c * side * side
@@ -210,7 +208,8 @@ def preset_spec(dataset, arch="baseline", filters=None, boost=False):
     if dropout:
         descs.append(dict(kind="dropout", p=dropout))
     descs.append(dict(kind="dense", **{"in": flat}, out=10))
-    return NetworkSpec(input_shape=input_shape, num_classes=10, layers=descs)
+    spec = NetworkSpec(input_shape=input_shape, num_classes=10, layers=descs)
+    return spec if arch == "maxmin" else baseline_of(spec)
 
 
 def build_net(dataset, arch="baseline", filters=None, boost=False, seed=0, dtype=np.float64):
@@ -225,9 +224,9 @@ def matched_maxmin_filters(base_filters):
     """Pick maxmin conv filter counts whose CIFAR-10 parameter total tracks the baseline.
 
     Keeps the dense-layer neuron counts fixed and scales only the conv
-    filter counts (seeded at half the baseline's), choosing the scale
-    whose total parameter count is closest to the baseline's. Raises if
-    no scale lands within ``MATCH_TOLERANCE`` relative difference.
+    filter counts, by each whole percent from 40 to 100, choosing the
+    scale whose total parameter count is closest to the baseline's.
+    Raises if no scale lands within ``MATCH_TOLERANCE`` relative difference.
     """
     def count(arch, filters):
         return build_net("cifar10", arch, filters).param_count()

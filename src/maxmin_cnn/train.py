@@ -72,10 +72,10 @@ def evaluate(net, data):
 def train(net, train_data, val_data, config, test_data=None):
     """Run the full seeded training loop.
 
-    Returns (net, metrics list). Deterministic given (seed, config,
-    data): the data order, augmentation draws, and dropout masks all
-    derive from config.seed. Aborts with DivergenceError on a
-    non-finite loss.
+    Returns (net, metrics list); a non-finite loss raises DivergenceError.
+    config.seed drives the data order and augmentation draws. Each Dropout
+    draws its masks from the generator it was built with (``build_network``
+    seeds it from the net's seed); it advances across calls on one net.
     """
     rng = np.random.default_rng(config.seed)
     opt, sched = config.optimizers()

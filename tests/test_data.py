@@ -6,7 +6,7 @@ import pytest
 from maxmin_cnn import data as D
 from maxmin_cnn.errors import DataError
 
-rng = np.random.default_rng(33)
+rng = None  # each test gets its own generator, seeded in conftest.py
 
 
 def write_idx_images(path, images):

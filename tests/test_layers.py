@@ -8,7 +8,7 @@ from maxmin_cnn.errors import ConfigError, LayerStateError, ShapeError
 
 from layer_probe import probe_grad_check
 
-rng = np.random.default_rng(7)
+rng = None  # each test gets its own generator, seeded in conftest.py
 
 
 def conv_oracle(x, weights, bias, stride, pad):
@@ -565,40 +565,41 @@ class TestLRN:
 
 class TestDense:
     def test_identity(self):
-        d = L.Dense(4, 4)
+        d = L.Dense(4, 4, rng=np.random.default_rng(0))
         d.weights[...] = np.eye(4)
         d.bias[...] = 0.0
         x = rng.random((3, 4))
         np.testing.assert_array_equal(d.forward(x), x)
 
     def test_constant(self):
-        d = L.Dense(4, 2)
+        d = L.Dense(4, 2, rng=np.random.default_rng(0))
         d.weights[...] = 0.0
         d.bias[...] = 7.0
         out = d.forward(rng.random((3, 4)))
         np.testing.assert_array_equal(out, np.full((3, 2), 7.0))
 
     def test_gradient_vs_finite_differences(self):
-        d = L.Dense(6, 4)
+        d = L.Dense(6, 4, rng=np.random.default_rng(0))
         d.weights[...] = np.random.default_rng(3).standard_normal((4, 6))
         report = probe_grad_check([d], rng.standard_normal((5, 6)), tolerance=1e-6)
         assert report.passed, str(report)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            L.Dense(6, 4).forward(np.zeros((2, 5)))
+            L.Dense(6, 4, rng=np.random.default_rng(0)).forward(np.zeros((2, 5)))
 
 
 class TestDropout:
     def test_p_zero_identity(self):
         x = rng.random((4, 4))
-        drop = L.Dropout(0.0)
+        drop = L.Dropout(0.0, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(drop.forward(x, train=True), x)
         np.testing.assert_array_equal(drop.forward(x, train=False), x)
 
     def test_eval_identity(self):
         x = rng.random((4, 4))
-        np.testing.assert_array_equal(L.Dropout(0.7).forward(x, train=False), x)
+        drop = L.Dropout(0.7, rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(drop.forward(x, train=False), x)
 
     def test_empirical_zero_fraction(self):
         drop = L.Dropout(0.3, rng=np.random.default_rng(0))
@@ -619,7 +620,16 @@ class TestDropout:
     def test_p_out_of_range(self):
         for p in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigError):
-                L.Dropout(p)
+                L.Dropout(p, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: L.Conv2D(1, 1, 1), lambda: L.Dense(1, 1), lambda: L.Dropout(0.5),
+], ids=["conv", "dense", "dropout"])
+def test_layer_that_draws_needs_a_generator(make):
+    """No layer falls back to an unseeded generator."""
+    with pytest.raises(TypeError, match="rng"):
+        make()
 
 
 class TestSoftmaxCrossEntropy:

@@ -8,7 +8,7 @@ from maxmin_cnn import models
 from maxmin_cnn.errors import ConfigError, WeightFileError
 from maxmin_cnn.layers import Conv2D, Dense
 
-rng = np.random.default_rng(21)
+rng = None  # each test gets its own generator, seeded in conftest.py
 
 
 class TestPresets:
@@ -338,9 +338,17 @@ class TestReduction:
         ("mnist", False), ("cifar10", False), ("cifar10", True),
     ], ids=["mnist", "cifar10", "cifar10-boost"])
     def test_baseline_of_maxmin_preset_is_baseline_preset(self, dataset, boost, filters):
-        reduced = models.baseline_of(models.preset_spec(dataset, "maxmin", filters, boost))
+        """The baseline preset is the maxmin one without MaxMin, at single depth."""
+        maxmin = models.preset_spec(dataset, "maxmin", filters, boost)
         base = models.preset_spec(dataset, "baseline", filters, boost)
-        assert reduced.spec_hash() == base.spec_hash()
+        assert base.spec_hash() == models.baseline_of(maxmin).spec_hash()
+        input_shape, default_filters, _ = models.PRESETS[dataset]
+        f = filters or default_filters
+        assert [d["kind"] for d in base.layers] == [d["kind"] for d in maxmin.layers
+                                                    if d["kind"] != "maxmin"]
+        assert [d["in"] for d in base.layers if d["kind"] == "conv"] == [input_shape[0], *f[:2]]
+        assert next(d["in"] for d in base.layers if d["kind"] == "dense") == f[2] * 4 * 4
+        assert all(d["groups"] == 1 for d in base.layers if d["kind"] == "lrn")
 
     def test_identical_dense_descriptors_keep_their_own_input(self):
         """Only the dense layer right after the doubling halves its input."""
@@ -360,7 +368,7 @@ class TestReduction:
     def test_filter_negation_swaps_block_channels(self):
         """Negating filter f swaps post-ReLU channels f and C+f exactly."""
         from maxmin_cnn.layers import MaxMin, ReLU
-        conv = Conv2D(3, 8, 5, pad=2)
+        conv = Conv2D(3, 8, 5, pad=2, rng=np.random.default_rng(0))
         conv.weights[...] = np.random.default_rng(2).normal(0.0, 0.5, conv.weights.shape)
         x = rng.standard_normal((2, 3, 12, 12))
 

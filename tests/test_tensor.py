@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from maxmin_cnn.errors import ConfigError
 from maxmin_cnn.tensor import col2im, conv_dft, conv_out_size, im2col
 
-rng = np.random.default_rng(42)
+rng = None  # each test gets its own generator, seeded in conftest.py
 
 
 class TestIm2col:

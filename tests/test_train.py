@@ -15,7 +15,7 @@ from maxmin_cnn.train import (METRICS_HEADER, EpochMetrics, GradCheckEntry, Grad
 
 from layer_probe import probe_grad_check
 
-rng = np.random.default_rng(55)
+rng = None  # each test gets its own generator, seeded in conftest.py
 
 
 def synthetic_data(n=20, shape=(1, 32, 32), classes=10, seed=0):
@@ -249,7 +249,7 @@ class TestEvaluate:
 
 class TestGradCheck:
     def test_linear_layer_tight(self):
-        layer = Dense(8, 5)
+        layer = Dense(8, 5, rng=np.random.default_rng(0))
         layer.weights[...] = np.random.default_rng(1).normal(0.0, 1.0, layer.weights.shape)
         report = probe_grad_check([layer], rng.standard_normal((4, 8)), tolerance=1e-8)
         assert report.passed, str(report)
@@ -262,7 +262,7 @@ class TestGradCheck:
         assert report.passed, str(report)
 
     def test_corrupted_backward_reported(self, monkeypatch):
-        layer = Dense(8, 5)
+        layer = Dense(8, 5, rng=np.random.default_rng(0))
         layer.weights[...] = np.random.default_rng(2).normal(0.0, 1.0, layer.weights.shape)
         orig = Dense.backward
 
